@@ -19,7 +19,7 @@
  *
  *   bench_campaign_throughput [--smoke] [--threads N] [--seed N]
  *
- * Emits BENCH_campaign_throughput.json at the repository root.
+ * Emits BENCH_campaign_throughput.json in the working directory.
  */
 
 #include <cstdio>
@@ -30,7 +30,6 @@
 #include <thread>
 #include <vector>
 
-#include "bench_paths.hh"
 #include "fault/campaign.hh"
 #include "icd/zarf_icd.hh"
 #include "verify/parallel.hh"
@@ -242,8 +241,7 @@ main(int argc, char **argv)
     }
     printf("\n");
 
-    std::string path =
-        benchio::repoRootedPath("BENCH_campaign_throughput.json");
+    std::string path = "BENCH_campaign_throughput.json";
     FILE *f = std::fopen(path.c_str(), "w");
     if (!f) {
         std::perror(path.c_str());

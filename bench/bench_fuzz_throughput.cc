@@ -14,7 +14,7 @@
  *   +threaded+fast   ... plus the fast-functional outcome check
  *                    (the default rotation nightly fuzz runs)
  *
- * Emits BENCH_fuzz_throughput.json at the repo root.
+ * Emits BENCH_fuzz_throughput.json in the working directory.
  *
  *   bench_fuzz_throughput [--seed N] [--rounds N] [--per-round N]
  *                         [--threads N] [--smoke]
@@ -35,22 +35,11 @@
 #include <string>
 #include <vector>
 
-#include "bench_paths.hh"
+#include "bench_sanitized.hh"
 #include "fuzz/fuzzer.hh"
 
 using namespace zarf;
 using namespace zarf::fuzz;
-
-#if defined(__SANITIZE_ADDRESS__)
-#define ZARF_SANITIZED 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define ZARF_SANITIZED 1
-#endif
-#endif
-#ifndef ZARF_SANITIZED
-#define ZARF_SANITIZED 0
-#endif
 
 int
 main(int argc, char **argv)
@@ -129,8 +118,7 @@ main(int argc, char **argv)
                "rotation's throughput\n\n",
                100.0 * full.rate / base.rate);
 
-    std::string outPath =
-        benchio::repoRootedPath("BENCH_fuzz_throughput.json");
+    std::string outPath = "BENCH_fuzz_throughput.json";
     FILE *f = fopen(outPath.c_str(), "w");
     if (f) {
         fprintf(f, "{\n  \"smoke\": %s,\n  \"rows\": [\n",

@@ -32,7 +32,6 @@
 #include <string>
 #include <vector>
 
-#include "bench_paths.hh"
 #include "common_progs.hh"
 #include "ecg/synth.hh"
 #include "icd/zarf_icd.hh"
@@ -380,10 +379,10 @@ main(int argc, char **argv)
                 "threaded-vs-uop %.2fx, fast-vs-uop %.2fx\n\n",
                 geomeanUop, geomeanThreaded, geomeanFast);
 
-    // Machine-readable results for trend tracking, at the repo root
-    // so CI can archive them from a fixed location.
-    std::string outPath =
-        benchio::repoRootedPath("BENCH_host_throughput.json");
+    // Machine-readable results for trend tracking, in the working
+    // directory (CI runs this from the repo root and archives them
+    // from there).
+    std::string outPath = "BENCH_host_throughput.json";
     FILE *f = std::fopen(outPath.c_str(), "w");
     if (!f) {
         std::perror(outPath.c_str());

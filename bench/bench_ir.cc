@@ -12,7 +12,7 @@
  *                every run cross-checked bit-exact against the
  *                machine (outcome, value-class, cycles, I/O length)
  *
- * Emits BENCH_ir_throughput.json at the repo root.
+ * Emits BENCH_ir_throughput.json in the working directory.
  *
  *   bench_ir [--seed N] [--programs N] [--reps N] [--smoke]
  *
@@ -29,7 +29,7 @@
 #include <string>
 #include <vector>
 
-#include "bench_paths.hh"
+#include "bench_sanitized.hh"
 #include "fuzz/genprog.hh"
 #include "fuzz/oracle.hh"
 #include "ir/eval.hh"
@@ -38,17 +38,6 @@
 #include "machine/machine.hh"
 
 using namespace zarf;
-
-#if defined(__SANITIZE_ADDRESS__)
-#define ZARF_SANITIZED 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define ZARF_SANITIZED 1
-#endif
-#endif
-#ifndef ZARF_SANITIZED
-#define ZARF_SANITIZED 0
-#endif
 
 namespace
 {
@@ -194,8 +183,7 @@ main(int argc, char **argv)
                "cycle rate; %zu cross-check mismatches\n\n",
                100.0 * irCps / machCps, mismatches);
 
-    std::string outPath =
-        benchio::repoRootedPath("BENCH_ir_throughput.json");
+    std::string outPath = "BENCH_ir_throughput.json";
     FILE *f = fopen(outPath.c_str(), "w");
     if (f) {
         fprintf(f,

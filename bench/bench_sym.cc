@@ -11,7 +11,7 @@
  *                     (the configuration `ctest -L sym` and the
  *                     nightly corpus sweep actually run)
  *
- * Emits BENCH_sym_throughput.json at the repo root.
+ * Emits BENCH_sym_throughput.json in the working directory.
  *
  *   bench_sym [--seed N] [--programs N] [--threads N] [--smoke]
  *
@@ -29,7 +29,7 @@
 #include <string>
 #include <vector>
 
-#include "bench_paths.hh"
+#include "bench_sanitized.hh"
 #include "fuzz/genprog.hh"
 #include "isa/binary.hh"
 #include "sym/concolic.hh"
@@ -38,17 +38,6 @@
 
 using namespace zarf;
 using namespace zarf::sym;
-
-#if defined(__SANITIZE_ADDRESS__)
-#define ZARF_SANITIZED 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define ZARF_SANITIZED 1
-#endif
-#endif
-#ifndef ZARF_SANITIZED
-#define ZARF_SANITIZED 0
-#endif
 
 namespace
 {
@@ -189,8 +178,7 @@ main(int argc, char **argv)
         printf("\n");
     }
 
-    std::string outPath =
-        benchio::repoRootedPath("BENCH_sym_throughput.json");
+    std::string outPath = "BENCH_sym_throughput.json";
     FILE *f = fopen(outPath.c_str(), "w");
     if (f) {
         fprintf(f,

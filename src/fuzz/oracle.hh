@@ -8,7 +8,7 @@
  * reference (sem/smallstep.hh), and the cycle-level machine on every
  * rung of its dispatch-tier ladder: walking raw image words,
  * executing predecoded µop streams, direct-threaded dispatch, and
- * the fast-functional mode (machine/threaded.hh) — plus a
+ * the fast-functional mode (machine/threaded.cc) — plus a
  * snapshot/restore replay of the machine mid-run. The verdict says
  * whether the implementations agree under the documented equivalence
  * map below.

@@ -6,7 +6,6 @@ namespace zarf
 namespace testhooks
 {
 bool poisonedOperandDefect = false;
-bool forceTableDispatch = false;
 } // namespace testhooks
 
 const char *
@@ -57,7 +56,7 @@ Machine::Impl::makeSnapshot() const
     auto s = std::make_shared<MachineSnapshot>();
     s->li = li;
     s->semispaceWords = cfg.semispaceWords;
-    s->tier = tier;
+    s->tier = cfg.tier;
     heap.save(s->heap);
     s->stats = machineStats;
     s->tally = tally;
@@ -100,10 +99,10 @@ Machine::Impl::restoreFrom(const MachineSnapshot &s)
         }
         return -1;
     };
-    if (family(s.tier) != family(tier)) {
+    if (family(s.tier) != family(cfg.tier)) {
         fatal("machine restore: dispatch tier mismatch (%s snapshot "
               "into a %s machine)",
-              dispatchTierName(s.tier), dispatchTierName(tier));
+              dispatchTierName(s.tier), dispatchTierName(cfg.tier));
     }
     if (s.li != li && !(s.li && s.li->image == li->image))
         fatal("machine restore: snapshot is from a different image");
@@ -128,8 +127,7 @@ Machine::Impl::restoreFrom(const MachineSnapshot &s)
 
 Machine::Machine(const Image &image, IoBus &bus, MachineConfig config)
     : impl(std::make_unique<Impl>(
-          LoadedImage::load(image, tierUsesPredecode(
-                                       config.effectiveTier())),
+          LoadedImage::load(image, tierUsesPredecode(config.tier)),
           bus, config))
 {}
 

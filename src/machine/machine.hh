@@ -64,9 +64,8 @@ enum class DispatchTier : uint8_t
     /** Direct-threaded dispatch over the same µop streams: each
      *  µop's handler is resolved once at predecode time into a
      *  dispatch token, and handlers jump straight to the next
-     *  handler (computed goto where the compiler supports it, a
-     *  function-pointer table otherwise). Bit-identical to the µop
-     *  tier in results, cycles, statistics, and traces. */
+     *  handler. Bit-identical to the µop tier in results, cycles,
+     *  statistics, and traces. */
     Threaded,
     /** Threaded dispatch with the cycle/FSM accounting and trace
      *  hooks compiled out, plus outcome-preserving superinstruction
@@ -113,24 +112,8 @@ struct MachineConfig
      *  "configured to run at specific intervals" policy. */
     Cycles gcIntervalCycles = 0;
     /** Host dispatch tier (see DispatchTier). Cycle-accurate tiers
-     *  are bit-identical to each other on every well-formed image.
-     *  When left at the default (Uop), the deprecated usePredecode
-     *  shim below still selects between Uop and WordWalk so code
-     *  predating the enum keeps its meaning; an explicit non-default
-     *  tier always wins. */
+     *  are bit-identical to each other on every well-formed image. */
     DispatchTier tier = DispatchTier::Uop;
-    /** Deprecated shim for the pre-tier bool: false selects the
-     *  word-walking reference path *if* `tier` was left at its
-     *  default. New code should set `tier` directly. */
-    bool usePredecode = true;
-    /** The tier this configuration actually selects. */
-    DispatchTier
-    effectiveTier() const
-    {
-        if (tier == DispatchTier::Uop && !usePredecode)
-            return DispatchTier::WordWalk;
-        return tier;
-    }
     /** Event sink for lifecycle/exec/GC events (null = tracing off;
      *  docs/OBSERVABILITY.md). Not owned; must outlive the machine. */
     obs::Recorder *trace = nullptr;

@@ -79,12 +79,11 @@ class Machine::Impl
           heap(config.semispaceWords, this->cfg.timing, machineStats),
           funcs(li->funcs), pre(li->pre), idInfo(li->idInfo)
     {
-        tier = cfg.effectiveTier();
         if (cfg.semispaceWords < 2 * kGcSafeMargin) {
             fatal("semispace of %zu words is below the minimum %zu",
                   cfg.semispaceWords, 2 * kGcSafeMargin);
         }
-        if (tierUsesPredecode(tier) && !li->hasPredecode) {
+        if (tierUsesPredecode(cfg.tier) && !li->hasPredecode) {
             fatal("machine: predecode execution requested but the "
                   "LoadedImage was built without predecode support");
         }
@@ -120,7 +119,7 @@ class Machine::Impl
     void
     advanceTo(Cycles target)
     {
-        switch (tier) {
+        switch (cfg.tier) {
           case DispatchTier::Uop:
             while (status == MachineStatus::Running && total < target)
                 stepOnceU();
@@ -418,7 +417,7 @@ class Machine::Impl
         }
         entry = li->entry;
 
-        if (tierUsesPredecode(tier)) {
+        if (tierUsesPredecode(cfg.tier)) {
             callCounts.assign(funcs.size(), 0);
             if (!pre.ok) {
                 fail("predecode: " + pre.error);
@@ -431,7 +430,7 @@ class Machine::Impl
     boot()
     {
         // Allocate the entry thunk and start forcing it.
-        Word root = tierUsesPredecode(tier)
+        Word root = tierUsesPredecode(cfg.tier)
                         ? allocApp(kFirstUserFuncId + entry, nullptr,
                                    0)
                         : allocAppRef(kFirstUserFuncId + entry, {});
@@ -578,7 +577,7 @@ class Machine::Impl
     size_t
     frameCount() const
     {
-        return tierUsesPredecode(tier) ? conts.size() : contsV.size();
+        return tierUsesPredecode(cfg.tier) ? conts.size() : contsV.size();
     }
 
     /** One semantic step for the shared deep-force export loop. All
@@ -588,7 +587,7 @@ class Machine::Impl
     void
     stepOnceShared()
     {
-        if (tierUsesPredecode(tier))
+        if (tierUsesPredecode(cfg.tier))
             stepOnceU();
         else
             stepOnceRef();
@@ -1284,38 +1283,6 @@ class Machine::Impl
 
     void advanceThreaded(Cycles target);
     void advanceFast(Cycles target);
-
-    /** The computed-goto core of the cycle-accurate threaded tier
-     *  (defined only when the build has the extension; guarded by
-     *  ZARF_HAVE_COMPUTED_GOTO at every call site). One function:
-     *  hot state lives in locals across handler labels and dispatch
-     *  is one indirect goto per step. */
-    void advanceThreadedGoto(Cycles target);
-
-    /** The portable table-dispatch core of the cycle-accurate tier:
-     *  executable µops dispatch through a per-token member-function-
-     *  pointer table instead of label addresses. Selected when the
-     *  build lacks computed goto, or at runtime by
-     *  testhooks::forceTableDispatch so `ctest -L threaded`
-     *  exercises this core on every platform. (advanceFast carries
-     *  both dispatch flavors in one body and needs no counterpart.) */
-    void advanceThreadedTable(Cycles target);
-
-    /** Per-token exec handlers of the cycle-accurate table core; each
-     *  is the stepExecU/execLetU arm its UTok pre-resolves, verbatim
-     *  (the shared argument prologue is letPrologueT). */
-    using TokFn = void (Impl::*)(const Uop &u);
-    static const TokFn kTokTable[kNumTok];
-    bool letPrologueT(const Uop &u);
-    void tokLetConsSat(const Uop &u);
-    void tokLetConsOver(const Uop &u);
-    void tokLetApp(const Uop &u);
-    void tokLetUnknown(const Uop &u);
-    void tokLetAlias(const Uop &u);
-    void tokLetBind(const Uop &u);
-    void tokCase(const Uop &u);
-    void tokResult(const Uop &u);
-    void tokInvalid(const Uop &u);
 
     Heap::RootProvider
     rootProviderU()
@@ -2041,8 +2008,8 @@ class Machine::Impl
     Heap::RootProvider
     rootProvider()
     {
-        return tierUsesPredecode(tier) ? rootProviderU()
-                                       : rootProviderRef();
+        return tierUsesPredecode(cfg.tier) ? rootProviderU()
+                                           : rootProviderRef();
     }
 
     ValuePtr
@@ -2134,9 +2101,6 @@ class Machine::Impl
 
     // Reference path state.
     std::vector<Frame> contsV;
-
-    // The resolved dispatch tier (cfg.effectiveTier(), cached).
-    DispatchTier tier = DispatchTier::Uop;
 
     // Shared machine registers.
     Activation act;

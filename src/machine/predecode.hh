@@ -83,13 +83,13 @@ enum class UCallee : uint8_t
 };
 
 /**
- * Direct-threaded dispatch tokens (machine/threaded.hh). Each
+ * Direct-threaded dispatch tokens (machine/threaded.cc). Each
  * executable µop's handler is resolved once, at predecode time, into
  * one of these codes; the threaded tiers dispatch on the token
  * instead of re-branching on kind/calleeKind/calleeClass/arity every
- * execution. Token threading (an index into a per-translation-unit
- * label or function table) rather than raw label addresses keeps the
- * Predecoded artifact shareable across machines and processes.
+ * execution. A small token (a `switch` case) rather than a raw
+ * handler address keeps the Predecoded artifact shareable across
+ * machines and processes.
  */
 enum UTok : uint8_t
 {

@@ -31,16 +31,6 @@ namespace zarf::testhooks
  */
 extern bool poisonedOperandDefect;
 
-/**
- * Forces the threaded dispatch tiers to run on the portable
- * function-pointer-table core even when the build supports computed
- * goto, so the fallback core is exercised by `ctest -L threaded` on
- * every platform rather than only on compilers without the
- * extension. Read once per advance() call; same thread-safety
- * caveat as above.
- */
-extern bool forceTableDispatch;
-
 } // namespace zarf::testhooks
 
 #endif // ZARF_MACHINE_TESTHOOKS_HH

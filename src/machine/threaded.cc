@@ -1,272 +1,56 @@
 /**
  * @file
- * The direct-threaded and fast-functional dispatch tiers
- * (machine/threaded.hh). Both are member functions of Machine::Impl
- * over the same architectural state as the µop tier; the
- * cycle-accurate core replicates every charge, statistic, trace
- * event, and GC trigger point of stepOnceU exactly, and the
- * differential suite (tests/test_machine_threaded.cc) holds it to
- * full-ledger bit-equality.
+ * The direct-threaded dispatch tiers of the λ-machine.
  *
- * Two dispatch cores exist for each tier:
+ * The µop tier (machine/predecode.hh) already decodes each image
+ * word once, but still finds every handler through a central switch:
+ * one indirect branch for the machine mode, another for the µop
+ * kind, then a chain of data-dependent tests (callee kind, callee
+ * class, saturation). The threaded tiers resolve that whole decision
+ * tree once, at predecode time, into a dispatch token (UTok) stored
+ * in the µop. Each tier is one function: handlers are labels, every
+ * transition whose successor is known statically is a plain `goto`,
+ * and only the entry (on the resumed mode), the token fetch and the
+ * continuation delivery dispatch on data, each through a `switch`.
+ * Hot machine state (the value register, the cycle counter, the
+ * instruction-class cycle bucket) lives in locals across handlers
+ * instead of being reloaded from the Impl per step.
  *
- *  - the computed-goto core (ZARF_HAVE_COMPUTED_GOTO, detected by
- *    CMake): one function, hot state in locals, `goto *tab[tcode]`
- *    between handler labels;
- *  - the portable table core: a per-token member-function-pointer
- *    table (kTokTable), used when the extension is unavailable or
- *    when testhooks::forceTableDispatch selects it at runtime.
+ * Two tiers share this machinery (DispatchTier in machine.hh):
+ *
+ *  - Threaded: cycle-accurate. Every charge, statistic, trace event,
+ *    and GC trigger point of stepOnceU is replicated exactly, so this
+ *    tier is bit-identical to the µop tier — results, cycles,
+ *    MachineStats, FSM tally, event streams, and snapshots are
+ *    interchangeable (tests/test_machine_threaded.cc holds it to
+ *    that).
+ *
+ *  - FastFunctional: the cycle/FSM accounting and trace hooks are
+ *    compiled out and outcome-preserving superinstruction fusion is
+ *    applied (case-of-value skips the continuation frame; all-int
+ *    primitive application skips the operand-forcing round trips).
+ *    Only the outcome — status, IO stream, exported value — is
+ *    meaningful; cycles() counts fused steps. For campaign and fuzz
+ *    throughput only, never for timing (docs/PERF.md).
+ *
+ * Both are member functions of Machine::Impl (machine/machine_impl.hh)
+ * over the same architectural state as the µop tier, selected through
+ * MachineConfig::tier.
  */
-
-#include "machine/threaded.hh"
 
 #include "machine/machine_impl.hh"
 
 namespace zarf
 {
 
-bool
-threadedDispatchUsesComputedGoto()
-{
-#ifdef ZARF_HAVE_COMPUTED_GOTO
-    return true;
-#else
-    return false;
-#endif
-}
-
 // ================================================================
-// Portable table core, cycle-accurate tier. The mode loop and the
-// token handlers are the stepOnceU/stepExecU/execLetU code verbatim,
-// with the exec decision tree (kind, callee kind, callee class,
-// saturation) pre-resolved into the token.
-// ================================================================
-
-/** The shared Let head: class/count/charge/trace, then fetch and
- *  resolve every argument word. False when a resolve failed (the
- *  machine is already Stuck). */
-bool
-Machine::Impl::letPrologueT(const Uop &u)
-{
-    curClass = InstrClass::Let;
-    ++machineStats.let.count;
-    charge(cfg.timing.letBase, MState::ApFetchLet);
-    if (traceExec)
-        emitT(obs::EventKind::ExecLet,
-              static_cast<int64_t>(act.funcId),
-              static_cast<int64_t>(u.nargs));
-    letScratch.clear();
-    const UOperand *ops = pre.operands.data() + u.argsBegin;
-    for (uint32_t i = 0; i < u.nargs; ++i) {
-        charge(cfg.timing.letPerArg, MState::ApFetchArg);
-        Word v = resolveU(ops[i]);
-        if (status != MachineStatus::Running)
-            return false;
-        poisonGuard(v);
-        letScratch.push_back(v);
-    }
-    machineStats.letArgs += u.nargs;
-    return true;
-}
-
-void
-Machine::Impl::tokLetConsSat(const Uop &u)
-{
-    if (!letPrologueT(u))
-        return;
-    act.locals.push_back(mval::mkRef(
-        allocCons(u.calleeId, letScratch.data(), letScratch.size())));
-    act.pc = u.next;
-}
-
-void
-Machine::Impl::tokLetConsOver(const Uop &u)
-{
-    if (!letPrologueT(u))
-        return;
-    act.locals.push_back(mval::mkRef(allocError(kErrArity)));
-    act.pc = u.next;
-}
-
-void
-Machine::Impl::tokLetApp(const Uop &u)
-{
-    if (!letPrologueT(u))
-        return;
-    act.locals.push_back(mval::mkRef(
-        allocApp(u.calleeId, letScratch.data(), letScratch.size())));
-    act.pc = u.next;
-}
-
-void
-Machine::Impl::tokLetUnknown(const Uop &u)
-{
-    if (!letPrologueT(u))
-        return;
-    fail("let names an unknown function identifier");
-}
-
-void
-Machine::Impl::tokLetAlias(const Uop &u)
-{
-    if (!letPrologueT(u))
-        return;
-    Word callee;
-    if (u.calleeKind == CalleeKind::Local) {
-        if (u.calleeId >= act.locals.size()) {
-            fail("callee local out of range");
-            return;
-        }
-        callee = act.locals[u.calleeId];
-    } else {
-        if (u.calleeId >= act.args.size()) {
-            fail("callee arg out of range");
-            return;
-        }
-        callee = act.args[u.calleeId];
-    }
-    charge(cfg.timing.collapseUpdate, MState::ApAliasLocal);
-    act.locals.push_back(callee);
-    act.pc = u.next;
-}
-
-void
-Machine::Impl::tokLetBind(const Uop &u)
-{
-    if (!letPrologueT(u))
-        return;
-    Word callee;
-    if (u.calleeKind == CalleeKind::Local) {
-        if (u.calleeId >= act.locals.size()) {
-            fail("callee local out of range");
-            return;
-        }
-        callee = act.locals[u.calleeId];
-    } else {
-        if (u.calleeId >= act.args.size()) {
-            fail("callee arg out of range");
-            return;
-        }
-        callee = act.args[u.calleeId];
-    }
-    act.locals.push_back(bindApplyU(callee));
-    act.pc = u.next;
-}
-
-void
-Machine::Impl::tokCase(const Uop &u)
-{
-    curClass = InstrClass::Case;
-    ++machineStats.caseInstr.count;
-    charge(cfg.timing.caseBase, MState::EvFetchCase);
-    if (traceExec)
-        emitT(obs::EventKind::ExecCase,
-              static_cast<int64_t>(act.funcId));
-    Word scrut = resolveU(u.operand);
-    if (status != MachineStatus::Running)
-        return;
-    poisonGuard(scrut);
-    Frame &f = conts.push(Frame::Kind::Case);
-    f.act.funcId = act.funcId;
-    f.act.pc = act.pc;
-    f.act.args.assign(act.args.begin(), act.args.end());
-    f.act.locals.assign(act.locals.begin(), act.locals.end());
-    vreg = scrut;
-    mode = Mode::EvalVal;
-}
-
-void
-Machine::Impl::tokResult(const Uop &u)
-{
-    curClass = InstrClass::Result;
-    ++machineStats.result.count;
-    charge(cfg.timing.resultBase, MState::EvFetchResult);
-    if (traceExec)
-        emitT(obs::EventKind::ExecResult,
-              static_cast<int64_t>(act.funcId));
-    Word v = resolveU(u.operand);
-    if (status != MachineStatus::Running)
-        return;
-    poisonGuard(v);
-    vreg = v;
-    mode = Mode::EvalVal;
-}
-
-void
-Machine::Impl::tokInvalid(const Uop &)
-{
-    fail(strprintf("unexpected opcode at word %zu", act.pc));
-}
-
-const Machine::Impl::TokFn Machine::Impl::kTokTable[kNumTok] = {
-    &Machine::Impl::tokLetConsSat,  // kTokLetConsSat
-    &Machine::Impl::tokLetConsOver, // kTokLetConsOver
-    &Machine::Impl::tokLetApp,      // kTokLetApp
-    &Machine::Impl::tokLetUnknown,  // kTokLetUnknown
-    &Machine::Impl::tokLetAlias,    // kTokLetAlias
-    &Machine::Impl::tokLetBind,     // kTokLetBind
-    &Machine::Impl::tokCase,        // kTokCase
-    &Machine::Impl::tokResult,      // kTokResult
-    &Machine::Impl::tokInvalid,     // kTokInvalid
-};
-
-void
-Machine::Impl::advanceThreadedTable(Cycles target)
-{
-    while (status == MachineStatus::Running && total < target) {
-        if (!heapHealthy())
-            return;
-        if (cfg.gcOnExhaustion && heap.freeWords() < kGcSafeMargin) {
-            runGc(rootProviderU());
-            if (!heapHealthy())
-                return;
-            if (heap.freeWords() < kGcSafeMargin) {
-                noteStatus(MachineStatus::OutOfMemory);
-                status = MachineStatus::OutOfMemory;
-                diagnostic = "live set exceeds semispace capacity";
-                return;
-            }
-        }
-        if (cfg.gcIntervalCycles &&
-            total - lastGcAt >= cfg.gcIntervalCycles) {
-            runGc(rootProviderU());
-            if (!heapHealthy())
-                return;
-        }
-        switch (mode) {
-          case Mode::EvalVal:
-            stepEvalU();
-            break;
-          case Mode::Exec:
-            if (act.pc >= pre.uops.size()) {
-                fail("program counter ran off the image");
-                break;
-            }
-            (this->*kTokTable[pre.uops[act.pc].tcode])(
-                pre.uops[act.pc]);
-            break;
-          case Mode::Deliver:
-            if (conts.empty()) {
-                noteStatus(MachineStatus::Done);
-                status = MachineStatus::Done;
-                return;
-            }
-            stepDeliverU();
-            break;
-        }
-    }
-}
-
-#ifdef ZARF_HAVE_COMPUTED_GOTO
-
-// ================================================================
-// Computed-goto core, cycle-accurate tier. One function: hot state
-// (the cycle counter `tot`, the value register `vr`, the
-// instruction-class cycle bucket) lives in locals across handler
-// labels, and each handler jumps to its statically known successor
-// through the inter-step preamble. Every charge, statistic, trace
-// event, and GC trigger point matches stepOnceU to the bit; the
-// macros below are the µop helpers re-expressed over the locals.
+// Cycle-accurate tier. One function: hot state (the cycle counter
+// `tot`, the value register `vr`, the instruction-class cycle
+// bucket) lives in locals across handler labels, and each handler
+// jumps to its statically known successor through the inter-step
+// preamble. Every charge, statistic, trace event, and GC trigger
+// point matches stepOnceU to the bit; the macros below are the µop
+// helpers re-expressed over the locals.
 // ================================================================
 
 // Charge one visit of state `st` costing n cycles (µop charge()).
@@ -446,7 +230,7 @@ Machine::Impl::advanceThreadedTable(Cycles target)
     } while (0)
 
 void
-Machine::Impl::advanceThreadedGoto(Cycles target)
+Machine::Impl::advanceThreaded(Cycles target)
 {
     if (status != MachineStatus::Running)
         return;
@@ -483,16 +267,6 @@ Machine::Impl::advanceThreadedGoto(Cycles target)
       case InstrClass::None:
         break;
     }
-
-    // Dispatch tables: one label per UTok, one per Frame::Kind.
-    static const void *const tokTab[kNumTok] = {
-        &&T_letConsSat, &&T_letConsOver, &&T_letApp, &&T_letUnknown,
-        &&T_letAlias,   &&T_letBind,     &&T_case,   &&T_result,
-        &&T_invalid,
-    };
-    static const void *const delivTab[4] = {
-        &&D_update, &&D_case, &&D_prim, &&D_apply,
-    };
 
     // Allocation helpers over the locals (µop allocApp/allocCons/
     // allocAppV/allocError with the identical charge sequence).
@@ -568,8 +342,10 @@ Machine::Impl::advanceThreadedGoto(Cycles target)
                                       letScratch.size()));
     };
 
-    // Entry: one dynamic dispatch on the resumed mode; from here on
-    // every handler jumps to its statically known successor.
+    // Entry: one dynamic dispatch on the resumed mode. From here on
+    // every handler jumps to its statically known successor; only
+    // the token fetch (L_exec) and the continuation delivery
+    // (L_deliver) dispatch on data.
     switch (mode) {
       case Mode::EvalVal:
         NEXT(L_eval, EvalVal);
@@ -683,7 +459,26 @@ L_exec:
     if (act.pc >= nUops) [[unlikely]]
         FAILX("program counter ran off the image", Exec);
     u = uops + act.pc;
-    goto *tokTab[u->tcode];
+    switch (u->tcode) {
+      case kTokLetConsSat:
+        goto T_letConsSat;
+      case kTokLetConsOver:
+        goto T_letConsOver;
+      case kTokLetApp:
+        goto T_letApp;
+      case kTokLetUnknown:
+        goto T_letUnknown;
+      case kTokLetAlias:
+        goto T_letAlias;
+      case kTokLetBind:
+        goto T_letBind;
+      case kTokCase:
+        goto T_case;
+      case kTokResult:
+        goto T_result;
+      default:
+        goto T_invalid;
+    }
 
 T_letConsSat:
     LET_HEAD();
@@ -780,7 +575,16 @@ L_deliver:
         status = MachineStatus::Done;
         return;
     }
-    goto *delivTab[static_cast<int>(conts.top().kind)];
+    switch (conts.top().kind) {
+      case Frame::Kind::Update:
+        goto D_update;
+      case Frame::Kind::Case:
+        goto D_case;
+      case Frame::Kind::PrimArgs:
+        goto D_prim;
+      case Frame::Kind::Apply:
+        goto D_apply;
+    }
 
 D_update:
     {
@@ -962,30 +766,9 @@ D_apply:
 #undef LET_HEAD
 #undef FETCH_CALLEE
 
-#endif // ZARF_HAVE_COMPUTED_GOTO
-
 // ================================================================
-// Tier entry points: pick the core.
-// ================================================================
-
-void
-Machine::Impl::advanceThreaded(Cycles target)
-{
-#ifdef ZARF_HAVE_COMPUTED_GOTO
-    if (!testhooks::forceTableDispatch) {
-        advanceThreadedGoto(target);
-        return;
-    }
-#endif
-    advanceThreadedTable(target);
-}
-
-// ================================================================
-// Fast-functional tier. One body carries both dispatch flavors:
-// computed goto when the build has it and the test hook does not
-// force the portable core, otherwise a dense switch (a jump table
-// after lowering). The cycle/FSM accounting and the per-µop trace
-// hooks are compiled out — total counts *fused steps* — and two
+// Fast-functional tier. The cycle/FSM accounting and the per-µop
+// trace hooks are compiled out — total counts *fused steps* — and two
 // outcome-preserving superinstruction fusions apply:
 //
 //  - case-of-value: a scrutinee that is already WHNF (or an
@@ -1175,21 +958,11 @@ Machine::Impl::advanceFast(Cycles target)
     const size_t nUops = pre.uops.size();
     const UOperand *const operands = pre.operands.data();
     const UPattern *const patterns = pre.patterns.data();
-    [[maybe_unused]] const bool useTable =
-        testhooks::forceTableDispatch;
 
     // Hot registers: the step counter and the value register.
     Cycles tot = total;
     Word vr = vreg;
     const Uop *u = nullptr;
-
-#ifdef ZARF_HAVE_COMPUTED_GOTO
-    static const void *const ftokTab[kNumTok] = {
-        &&FT_letConsSat, &&FT_letConsOver, &&FT_letApp,
-        &&FT_letUnknown, &&FT_letAlias,    &&FT_letBind,
-        &&FT_case,       &&FT_result,      &&FT_invalid,
-    };
-#endif
 
     // Allocation helpers: the µop constructors minus the charges.
     auto allocAppF = [&](Word fn, const Word *args, size_t n) -> Word {
@@ -1407,10 +1180,6 @@ F_exec:
     if (act.pc >= nUops) [[unlikely]]
         FFAIL("program counter ran off the image", Exec);
     u = uops + act.pc;
-#ifdef ZARF_HAVE_COMPUTED_GOTO
-    if (!useTable)
-        goto *ftokTab[u->tcode];
-#endif
     switch (u->tcode) {
       case kTokLetConsSat:
         goto FT_letConsSat;

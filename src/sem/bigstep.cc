@@ -250,6 +250,12 @@ class BigStep::Impl
             if (rest.empty())
                 return out;
             // Over-application: apply the result to the leftovers.
+            // An over-saturated constructor is the arity error, Error
+            // included: the lazy engines reject the construction
+            // itself, so the new Error never gets to absorb the
+            // leftovers (only an existing Error callee does).
+            if (id == static_cast<Word>(Prim::Error))
+                return Value::makeError(kErrArity);
             callee = std::move(out);
             args = std::move(rest);
         }
@@ -275,40 +281,35 @@ class BigStep::Impl
         Prim p = static_cast<Prim>(id);
         if (p == Prim::Error)
             return Value::makeCons(id, args);
-        // An Error value reaching any primitive argument propagates
-        // unchanged (argument order), matching the lazy engine.
-        for (const auto &a : args) {
-            if (a->isError())
-                return a;
-        }
-        if (p == Prim::GetInt) {
-            if (!args[0]->isInt())
-                return Value::makeError(kErrIoNotInt);
-            // (getint): n2 is input from port n1.
-            return Value::makeInt(bus.getInt(args[0]->intVal()));
-        }
-        if (p == Prim::PutInt) {
-            if (!args[0]->isInt() || !args[1]->isInt())
-                return Value::makeError(kErrIoNotInt);
-            // (putint): write and yield the written value.
-            bus.putInt(args[0]->intVal(), args[1]->intVal());
-            return args[1];
-        }
-        if (p == Prim::InvokeGc) {
-            // Strict integer identity; collection is a machine-level
-            // effect only. The kernel threads an integer token
-            // through gc to sequence it.
-            if (!args[0]->isInt())
-                return Value::makeError(kErrBadApply);
-            return args[0];
-        }
-        // Pure ALU primitive: all arguments must be integers.
+        // Every primitive is strict in integer arguments. The lazy
+        // engines force them in argument order and stop at the first
+        // non-integer: an Error there propagates unchanged, anything
+        // else is the primitive's type error.
+        const bool io = p == Prim::GetInt || p == Prim::PutInt;
         std::vector<SWord> ints;
         ints.reserve(args.size());
         for (const auto &a : args) {
+            if (a->isError())
+                return a;
             if (!a->isInt())
-                return Value::makeError(kErrBadApply);
+                return Value::makeError(io ? kErrIoNotInt
+                                           : kErrBadApply);
             ints.push_back(a->intVal());
+        }
+        if (p == Prim::GetInt) {
+            // (getint): n2 is input from port n1.
+            return Value::makeInt(bus.getInt(ints[0]));
+        }
+        if (p == Prim::PutInt) {
+            // (putint): write and yield the written value.
+            bus.putInt(ints[0], ints[1]);
+            return args[1];
+        }
+        if (p == Prim::InvokeGc) {
+            // Integer identity; collection is a machine-level effect
+            // only. The kernel threads an integer token through gc
+            // to sequence it.
+            return args[0];
         }
         PrimResult r = evalAlu(p, ints);
         if (!r.ok)

@@ -146,7 +146,8 @@ exerciseBothMachinePaths(const Image &img)
     for (bool predecode : { false, true }) {
         MachineConfig mcfg;
         mcfg.semispaceWords = 1 << 13;
-        mcfg.usePredecode = predecode;
+        mcfg.tier = predecode ? DispatchTier::Uop
+                              : DispatchTier::WordWalk;
         Machine m(img, bus, mcfg);
         // Any status is acceptable; a crash would have killed us.
         (void)m.advance(300'000);
@@ -273,7 +274,7 @@ TEST_P(FuzzStructured, ReservedSrcBits)
             NullBus bus;
             MachineConfig mcfg;
             mcfg.semispaceWords = 1 << 13;
-            mcfg.usePredecode = true;
+            mcfg.tier = DispatchTier::Uop;
             Machine pm(mut, bus, mcfg);
             MachineStatus ps = pm.advance(300'000);
             EXPECT_NE(ps, MachineStatus::Running)
@@ -281,7 +282,7 @@ TEST_P(FuzzStructured, ReservedSrcBits)
             EXPECT_NE(ps, MachineStatus::Done)
                 << "predecode executed reserved source bits";
 
-            mcfg.usePredecode = false;
+            mcfg.tier = DispatchTier::WordWalk;
             Machine wm(mut, bus, mcfg);
             (void)wm.advance(300'000); // reject-or-latch, no UB
         }

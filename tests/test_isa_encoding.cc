@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstring>
+
 #include "isa/encoding.hh"
 
 namespace zarf
@@ -30,12 +33,44 @@ TEST(Encoding, LetRoundTrip)
     }
 }
 
-class OperandRoundTrip : public ::testing::TestWithParam<Operand>
+/**
+ * An Operand's object representation, padding included. gtest names
+ * each instance of a value-parameterised test after its printed
+ * parameter and prints a type without a printer as its raw bytes. An
+ * Operand's three padding bytes are whatever the stack held, so its
+ * test IDs changed from one test discovery to the next; held as data,
+ * the bytes are fixed, and each instance keeps the ID it was first
+ * recorded under.
+ */
+struct OperandBytes
+{
+    unsigned char b[sizeof(Operand)];
+};
+
+static_assert(offsetof(Operand, src) == 0 && sizeof(Src) == 1 &&
+                  offsetof(Operand, val) == 4 && sizeof(Operand) == 8,
+              "OperandBytes assumes Operand has padding bytes 1..3");
+
+/** @p op with its padding bytes set to @p p1, @p p2, @p p3. */
+OperandBytes
+pinned(Operand op, unsigned char p1 = 0, unsigned char p2 = 0,
+       unsigned char p3 = 0)
+{
+    OperandBytes o;
+    std::memcpy(o.b, &op, sizeof op);
+    o.b[1] = p1;
+    o.b[2] = p2;
+    o.b[3] = p3;
+    return o;
+}
+
+class OperandRoundTrip : public ::testing::TestWithParam<OperandBytes>
 {};
 
 TEST_P(OperandRoundTrip, PackUnpack)
 {
-    Operand op = GetParam();
+    Operand op;
+    std::memcpy(&op, GetParam().b, sizeof op);
     Word w = packOperand(op);
     EXPECT_EQ(opOf(w), Op::Arg);
     Operand d = unpackOperand(w);
@@ -46,10 +81,14 @@ TEST_P(OperandRoundTrip, PackUnpack)
 INSTANTIATE_TEST_SUITE_P(
     AllSources, OperandRoundTrip,
     ::testing::Values(
-        opLocal(0), opLocal(7), opLocal(SWord(kMaxSlotIndex)),
-        opArg(0), opArg(3), opArg(SWord(kMaxSlotIndex)),
-        opImm(0), opImm(1), opImm(-1), opImm(360), opImm(-360),
-        opImm(kMaxImm), opImm(kMinImm)));
+        pinned(opLocal(0), 0xff, 0x48), pinned(opLocal(7), 0xff, 0x70),
+        pinned(opLocal(SWord(kMaxSlotIndex))),
+        pinned(opArg(0)), pinned(opArg(3)),
+        pinned(opArg(SWord(kMaxSlotIndex))),
+        pinned(opImm(0), 0x00, 0x01, 0x1b), pinned(opImm(1), 0x00, 0x04),
+        pinned(opImm(-1), 0xda, 0x48), pinned(opImm(360), 0xda, 0x55),
+        pinned(opImm(-360)), pinned(opImm(kMaxImm)),
+        pinned(opImm(kMinImm))));
 
 TEST(Encoding, CaseScrutRoundTrip)
 {

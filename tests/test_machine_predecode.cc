@@ -57,7 +57,7 @@ MachineConfig
 pathConfig(bool predecode, size_t semispaceWords = 1u << 20)
 {
     MachineConfig cfg;
-    cfg.usePredecode = predecode;
+    cfg.tier = predecode ? DispatchTier::Uop : DispatchTier::WordWalk;
     cfg.semispaceWords = semispaceWords;
     return cfg;
 }

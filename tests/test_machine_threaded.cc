@@ -1,7 +1,7 @@
 /**
  * @file
  * Differential testing of the direct-threaded dispatch tier and the
- * fast-functional mode (machine/threaded.hh) against the µop tier.
+ * fast-functional mode (machine/threaded.cc) against the µop tier.
  *
  * The threaded tier is cycle-accurate: it must be bit-identical to
  * the µop tier in results, total cycle counts, and every statistic —
@@ -9,9 +9,10 @@
  * on the full ICD kernel — and its snapshots must be interchangeable
  * with µop snapshots. The fast-functional tier abandons the cycle
  * model, so it is held to outcome equality only: status, diagnostic,
- * value, and the I/O log. Both tiers carry two dispatch cores
- * (computed goto and a portable table); every differential here runs
- * under both cores via testhooks::forceTableDispatch.
+ * value, and the I/O log. Every random-program differential here
+ * runs the tier under test both in one advance() call and in short
+ * advance() slices, so the cores' exit and re-entry paths are
+ * exercised at step boundaries in every machine mode.
  */
 
 #include <gtest/gtest.h>
@@ -23,8 +24,6 @@
 #include "isa/binary.hh"
 #include "isa/encoding.hh"
 #include "machine/machine.hh"
-#include "machine/testhooks.hh"
-#include "machine/threaded.hh"
 #include "system/ports.hh"
 
 namespace zarf
@@ -71,19 +70,20 @@ tierConfig(DispatchTier tier, size_t semispaceWords = 1u << 20)
     return cfg;
 }
 
-/** Run both dispatch cores of the tier under test. On builds
- *  without computed goto both passes use the table core; that is
- *  redundant but still correct, and keeps the parameter space
- *  identical across platforms. */
-class TableForcer
+/** Run a machine to completion, either in one advance() call or in
+ *  short slices. Each slice ends at the first step boundary past its
+ *  budget, wherever the program is; a cycle-accurate tier must reach
+ *  the same final state either way. */
+Machine::Outcome
+runMaybeSliced(Machine &m, bool sliced)
 {
-  public:
-    explicit TableForcer(bool forceTable)
-    {
-        testhooks::forceTableDispatch = forceTable;
-    }
-    ~TableForcer() { testhooks::forceTableDispatch = false; }
-};
+    if (!sliced)
+        return m.run();
+    const Cycles limit = m.cycles() + 2'000'000'000ull;
+    while (m.status() == MachineStatus::Running && m.cycles() < limit)
+        (void)m.advance(37);
+    return m.run(0);
+}
 
 Image
 randomImage(uint64_t seed)
@@ -141,7 +141,7 @@ class LogBus : public IoBus
 
 void
 runThreadedDifferential(uint64_t seed, size_t semispaceWords,
-                        bool forceTable)
+                        bool sliced)
 {
     Image img = randomImage(seed);
 
@@ -150,11 +150,10 @@ runThreadedDifferential(uint64_t seed, size_t semispaceWords,
                                       semispaceWords));
     Machine::Outcome oa = uop.run();
 
-    TableForcer forcer(forceTable);
     LogBus busB;
     Machine thr(img, busB, tierConfig(DispatchTier::Threaded,
                                       semispaceWords));
-    Machine::Outcome ob = thr.run();
+    Machine::Outcome ob = runMaybeSliced(thr, sliced);
 
     ASSERT_EQ(oa.status, ob.status)
         << "uop: " << oa.diagnostic
@@ -172,8 +171,7 @@ runThreadedDifferential(uint64_t seed, size_t semispaceWords,
 }
 
 void
-runFastDifferential(uint64_t seed, size_t semispaceWords,
-                    bool forceTable)
+runFastDifferential(uint64_t seed, size_t semispaceWords, bool sliced)
 {
     Image img = randomImage(seed);
 
@@ -182,11 +180,10 @@ runFastDifferential(uint64_t seed, size_t semispaceWords,
                                       semispaceWords));
     Machine::Outcome oa = uop.run();
 
-    TableForcer forcer(forceTable);
     LogBus busB;
     Machine fast(img, busB, tierConfig(DispatchTier::FastFunctional,
                                        semispaceWords));
-    Machine::Outcome ob = fast.run();
+    Machine::Outcome ob = runMaybeSliced(fast, sliced);
 
     // Outcome equality applies when both runs terminated; resource
     // bounds fire at different points on a tier with no cycle clock
@@ -208,7 +205,7 @@ runFastDifferential(uint64_t seed, size_t semispaceWords,
     EXPECT_EQ(busA.ops, busB.ops);
 }
 
-// seed, forceTable
+// seed, sliced
 using TierParam = std::tuple<uint64_t, bool>;
 
 class ThreadedDifferential
@@ -217,13 +214,13 @@ class ThreadedDifferential
 
 TEST_P(ThreadedDifferential, BitIdenticalOnRandomPrograms)
 {
-    auto [seed, forceTable] = GetParam();
-    runThreadedDifferential(seed, 1u << 20, forceTable);
+    auto [seed, sliced] = GetParam();
+    runThreadedDifferential(seed, 1u << 20, sliced);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Seeds, ThreadedDifferential,
-    ::testing::Combine(::testing::Range(uint64_t(0), uint64_t(120)),
+    ::testing::Combine(::testing::Range(uint64_t(0), uint64_t(240)),
                        ::testing::Bool()));
 
 class ThreadedGcDifferential
@@ -236,13 +233,13 @@ TEST_P(ThreadedGcDifferential, BitIdenticalUnderGcPressure)
     // collections; the threaded tier's register-cached state must
     // spill and reload around every GC so roots, copy order, and
     // pause accounting match the µop tier exactly.
-    auto [seed, forceTable] = GetParam();
-    runThreadedDifferential(seed, 3 * 4096, forceTable);
+    auto [seed, sliced] = GetParam();
+    runThreadedDifferential(seed, 3 * 4096, sliced);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Seeds, ThreadedGcDifferential,
-    ::testing::Combine(::testing::Range(uint64_t(0), uint64_t(60)),
+    ::testing::Combine(::testing::Range(uint64_t(0), uint64_t(120)),
                        ::testing::Bool()));
 
 class FastDifferential : public ::testing::TestWithParam<TierParam>
@@ -250,13 +247,13 @@ class FastDifferential : public ::testing::TestWithParam<TierParam>
 
 TEST_P(FastDifferential, OutcomeEqualOnRandomPrograms)
 {
-    auto [seed, forceTable] = GetParam();
-    runFastDifferential(seed, 1u << 20, forceTable);
+    auto [seed, sliced] = GetParam();
+    runFastDifferential(seed, 1u << 20, sliced);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Seeds, FastDifferential,
-    ::testing::Combine(::testing::Range(uint64_t(0), uint64_t(120)),
+    ::testing::Combine(::testing::Range(uint64_t(0), uint64_t(240)),
                        ::testing::Bool()));
 
 class FastGcDifferential : public ::testing::TestWithParam<TierParam>
@@ -264,13 +261,13 @@ class FastGcDifferential : public ::testing::TestWithParam<TierParam>
 
 TEST_P(FastGcDifferential, OutcomeEqualUnderGcPressure)
 {
-    auto [seed, forceTable] = GetParam();
-    runFastDifferential(seed, 3 * 4096, forceTable);
+    auto [seed, sliced] = GetParam();
+    runFastDifferential(seed, 3 * 4096, sliced);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Seeds, FastGcDifferential,
-    ::testing::Combine(::testing::Range(uint64_t(0), uint64_t(60)),
+    ::testing::Combine(::testing::Range(uint64_t(0), uint64_t(120)),
                        ::testing::Bool()));
 
 // ----------------------------------------------------------------
@@ -487,19 +484,6 @@ TEST(ThreadedCampaign, VerdictsTierInvariant)
     fault::CampaignReport a = fault::runCampaign(base);
     fault::CampaignReport b = fault::runCampaign(threaded);
     EXPECT_EQ(a.toJson(), b.toJson());
-}
-
-// ----------------------------------------------------------------
-// Dispatch capability report
-// ----------------------------------------------------------------
-
-TEST(ThreadedDispatch, CapabilityMatchesBuildDefine)
-{
-#ifdef ZARF_HAVE_COMPUTED_GOTO
-    EXPECT_TRUE(threadedDispatchUsesComputedGoto());
-#else
-    EXPECT_FALSE(threadedDispatchUsesComputedGoto());
-#endif
 }
 
 } // namespace

@@ -273,6 +273,37 @@ fun main =
     EXPECT_EQ(v->items()[0]->intVal(), kErrDivZero);
 }
 
+// Primitive operands are checked in argument order, as the lazy
+// engines force them: a non-integer, non-Error first operand is the
+// type error even when a later operand is an Error.
+TEST(BigStep, PrimTypeErrorPrecedesLaterErrorOperand)
+{
+    ValuePtr v = evalMainPure(R"(
+con Pair a b
+fun main =
+  let p = Pair 1
+  let e = div 1 0
+  let r = shl p e
+  result r
+)");
+    ASSERT_TRUE(v->isError());
+    EXPECT_EQ(v->items()[0]->intVal(), kErrBadApply);
+}
+
+// Over-applying the Error constructor is the arity error; the new
+// Error does not absorb the leftover argument.
+TEST(BigStep, OverApplyErrorConstructorIsArityError)
+{
+    ValuePtr v = evalMainPure(R"(
+fun main =
+  let e = Error 0 0
+  let r = div 0 e
+  result r
+)");
+    ASSERT_TRUE(v->isError());
+    EXPECT_EQ(v->items()[0]->intVal(), kErrArity);
+}
+
 // (getint)/(putint): I/O rules.
 TEST(BigStep, GetPutInt)
 {
