@@ -3,14 +3,22 @@
  * Analysis-IR cost model: what lifting costs, and what the reference
  * IR evaluation costs next to the µop machine it mirrors.
  *
- * Three rows over one fixed-seed generated workload:
+ * Four rows over one fixed-seed generated workload:
  *
- *   lift         images lifted to IR per second (and words/sec) —
- *                the price every IR consumer pays once per image
- *   machine-uop  λ-cycles per host-second executing on the machine
- *   ir-eval      λ-cycles per host-second on the IR evaluator, with
- *                every run cross-checked bit-exact against the
- *                machine (outcome, value-class, cycles, I/O length)
+ *   lift          images lifted to IR per second (and words/sec) —
+ *                 the price every IR consumer pays once per image
+ *   machine-build µs per Machine construction (image load, predecode,
+ *                 heap) — the machine's per-image setup, timed apart
+ *   machine-uop   λ-cycles per host-second executing on the machine
+ *                 (Machine::run only)
+ *   ir-eval       λ-cycles per host-second on the IR evaluator
+ *                 (evalModule only), with every run cross-checked
+ *                 bit-exact against the machine (outcome,
+ *                 value-class, cycles, I/O length)
+ *
+ * Both execution rows time execution alone: setup (machine
+ * construction, lifting) happens outside their timers, so on the
+ * short runs of this workload the two rates compare like for like.
  *
  * Emits BENCH_ir_throughput.json in the working directory.
  *
@@ -126,17 +134,17 @@ main(int argc, char **argv)
     double liftsPerSec = liftSecs > 0 ? double(lifts) / liftSecs : 0;
     double wordsPerSec =
         liftSecs > 0 ? double(totalWords * reps) / liftSecs : 0;
-    printf("  %-12s %7zu lifts in %7.3f s = %9.0f lifts/sec "
+    printf("  %-13s %7zu lifts in %7.3f s = %9.0f lifts/sec "
            "(%.2e words/sec)\n",
            "lift", lifts, liftSecs, liftsPerSec, wordsPerSec);
 
-    // ---- Rows 2+3: machine vs. IR evaluation ------------------
+    // ---- Rows 2-4: machine setup, machine vs. IR execution -----
     struct EvalRow
     {
         uint64_t cycles = 0;
         size_t runs = 0;
         double secs = 0;
-    } mach, ireval;
+    } build, mach, ireval;
 
     size_t mismatches = 0;
     for (size_t r = 0; r < reps; ++r) {
@@ -144,8 +152,11 @@ main(int argc, char **argv)
             fuzz::RecordBus mb;
             MachineConfig mc;
             mc.semispaceWords = 1u << 15;
-            auto m0 = std::chrono::steady_clock::now();
+            auto b0 = std::chrono::steady_clock::now();
             Machine m(img, mb, mc);
+            build.secs += secsSince(b0);
+            ++build.runs;
+            auto m0 = std::chrono::steady_clock::now();
             Machine::Outcome mo = m.run(200'000);
             mach.secs += secsSince(m0);
             mach.cycles += m.cycles();
@@ -170,12 +181,16 @@ main(int argc, char **argv)
     }
     auto report = [](const char *name, const EvalRow &e) {
         double cps = e.secs > 0 ? double(e.cycles) / e.secs : 0;
-        printf("  %-12s %7zu runs, %10llu lambda-cycles in %7.3f s "
+        printf("  %-13s %7zu runs, %10llu lambda-cycles in %7.3f s "
                "= %.2e cycles/sec\n",
                name, e.runs, (unsigned long long)e.cycles, e.secs,
                cps);
         return cps;
     };
+    double buildUs =
+        build.runs ? 1e6 * build.secs / double(build.runs) : 0;
+    printf("  %-13s %7zu machines built in %7.3f s = %.2f us/machine\n",
+           "machine-build", build.runs, build.secs, buildUs);
     double machCps = report("machine-uop", mach);
     double irCps = report("ir-eval", ireval);
     if (machCps > 0 && irCps > 0)
@@ -195,6 +210,10 @@ main(int argc, char **argv)
                 "\"wall_sec\": %.6f, \"lifts_per_sec\": %.1f, "
                 "\"words_per_sec\": %.1f},\n",
                 lifts, liftSecs, liftsPerSec, wordsPerSec);
+        fprintf(f,
+                "    {\"phase\": \"machine-build\", \"runs\": %zu, "
+                "\"wall_sec\": %.6f, \"us_per_machine\": %.3f},\n",
+                build.runs, build.secs, buildUs);
         fprintf(f,
                 "    {\"phase\": \"machine-uop\", \"runs\": %zu, "
                 "\"lambda_cycles\": %llu, \"wall_sec\": %.6f, "

@@ -1,786 +1,80 @@
 /**
  * @file
- * Reference evaluation of lifted modules.
- *
- * This is a host-heap mirror of the machine's control FSM
- * (machine/machine_impl.hh): the same modes (evaluate / execute /
- * deliver), the same frame discipline (update, case, primitive
- * argument, leftover application), and — the load-bearing property —
- * the same cycle charge at every state visit, in the same order,
- * including the partial charges a mid-step fault leaves behind. Any
- * edit here that changes a charge point must be validated against
- * the machine via the compareIr oracle sweep (`ctest -L ir`).
+ * Reference evaluation of lifted modules: the evaluator core
+ * (ir/core.hh) over the concrete domain, where a non-reference word
+ * carries the 32-bit pattern of a machine integer.
  */
 
 #include "ir/eval.hh"
 
 #include <utility>
 
-#include "ir/testhooks.hh"
-#include "isa/prims.hh"
+#include "ir/core.hh"
 
 namespace zarf::ir
 {
 namespace
 {
 
-// Value words: bit 32 tags a node reference (low bits: node index);
-// an untagged word carries the 32-bit pattern of a machine integer.
-constexpr uint64_t kRefBit = 1ull << 32;
-
 inline uint64_t mkInt(SWord v) { return uint64_t(uint32_t(v)); }
-inline uint64_t mkRef(size_t i) { return kRefBit | uint64_t(uint32_t(i)); }
-inline bool isRef(uint64_t w) { return (w & kRefBit) != 0; }
 inline SWord intOf(uint64_t w) { return SWord(uint32_t(w)); }
-inline size_t idxOf(uint64_t w) { return size_t(uint32_t(w)); }
 
-/** Heap node kinds — the machine's object kinds minus forwarding
- *  (no GC here). */
-enum class NodeKind : uint8_t
-{
-    App,       ///< fn + applied args; WHNF iff args < arity(fn).
-    AppV,      ///< Deferred application: payload[0] is the callee
-               ///< value, the rest are arguments. Always a thunk.
-    Cons,      ///< Saturated constructor; fields in payload.
-    Ind,       ///< Indirection to payload[0].
-    Blackhole, ///< A thunk under evaluation.
-};
-
-struct Node
-{
-    NodeKind kind;
-    Word fn = 0;
-    std::vector<uint64_t> payload;
-};
-
-enum class FrameKind : uint8_t { Update, Case, PrimArgs, Apply };
-
-/** One continuation frame. Field use per kind:
- *  Update   — target;
- *  Case     — funcId/pc/args/locals (the suspended activation);
- *  PrimArgs — prim/args (operands)/nextArg/collected;
- *  Apply    — args (the leftover arguments). */
-struct Frame
-{
-    FrameKind kind;
-    size_t target = 0;
-    Word funcId = 0;
-    uint32_t pc = 0;
-    std::vector<uint64_t> args;
-    std::vector<uint64_t> locals;
-    Word prim = 0;
-    uint32_t nextArg = 0;
-    std::vector<SWord> collected;
-};
-
-enum class Mode : uint8_t { EvalVal, Exec, Deliver };
-enum class St : uint8_t { Running, Done, Stuck, Fuel };
-
-class Evaluator
+/** The concrete domain: integers, a real I/O bus, Value exports. */
+class Concrete
 {
   public:
-    Evaluator(const Module &mod, IoBus &bus, const EvalConfig &cfg)
-        : m(mod), bus(bus), cfg(cfg), t(cfg.timing)
+    using Export = ValuePtr;
+
+    explicit Concrete(IoBus &bus) : bus(bus) {}
+
+    uint64_t imm(uint32_t, SWord v) const { return mkInt(v); }
+    uint64_t errorCode(SWord code) const { return mkInt(code); }
+
+    int
+    caseArm(uint64_t v, const Pattern *pats, uint32_t n) const
     {
-        // The modelled load stream: one cycle per image word.
-        total = Cycles(m.imageWords) * t.loadWord;
-        if (!m.hasEntry) {
-            fail("module has no entry function");
-            return;
+        for (uint32_t i = 0; i < n; ++i) {
+            if (!pats[i].isCons && pats[i].lit == intOf(v))
+                return int(i);
         }
-        // Boot: apply the entry function to zero arguments.
-        vreg = allocApp(Module::idOf(m.entry), {});
-        mode = Mode::EvalVal;
+        return int(n);
     }
 
-    Outcome
-    run()
+    PrimOut
+    alu(Prim p, const std::vector<uint64_t> &operands)
     {
-        advance(cfg.maxCycles);
-        Outcome out;
-        out.cycles = total;
-        if (st == St::Running) {
-            out.status = Outcome::Status::OutOfFuel;
-            out.diagnostic = "cycle budget exhausted";
-            return out;
-        }
-        if (st != St::Done) {
-            out.status = st == St::Fuel ? Outcome::Status::OutOfFuel
-                                        : Outcome::Status::Stuck;
-            out.diagnostic = diag;
-            return out;
-        }
-        // Deep-force and export the final value. Charged normally —
-        // the machine's cycles() includes its export forcing too.
-        st = St::Running;
-        ValuePtr v = exportValue(vreg, 0);
-        out.cycles = total;
-        if (!v) {
-            out.status = st == St::Fuel ? Outcome::Status::OutOfFuel
-                                        : Outcome::Status::Stuck;
-            out.diagnostic = diag;
-            return out;
-        }
-        out.status = Outcome::Status::Done;
-        out.value = std::move(v);
-        return out;
+        ints.resize(operands.size());
+        for (size_t i = 0; i < operands.size(); ++i)
+            ints[i] = intOf(operands[i]);
+        PrimResult r = evalAlu(p, ints);
+        return r.ok ? PrimOut::value(mkInt(r.value))
+                    : PrimOut::error(r.errCode);
     }
 
-  private:
-    // ---- Infrastructure --------------------------------------------
-
-    void charge(Cycles c) { total += c; }
-
-    void
-    fail(std::string why)
+    PrimOut
+    getInt(uint64_t port)
     {
-        st = St::Stuck;
-        diag = std::move(why);
-    }
-
-    uint64_t
-    chase(uint64_t w) const
-    {
-        while (isRef(w)) {
-            const Node &n = heap[idxOf(w)];
-            if (n.kind != NodeKind::Ind)
-                break;
-            w = n.payload[0];
-        }
-        return w;
-    }
-
-    Word
-    arityOf(Word fn) const
-    {
-        return fn < m.ids.size() && m.ids[fn].exists ? m.ids[fn].arity
-                                                     : 0;
-    }
-
-    bool
-    isConsId(Word fn) const
-    {
-        return fn < m.ids.size() && m.ids[fn].exists && m.ids[fn].isCons;
-    }
-
-    bool
-    isWhnf(const Node &n) const
-    {
-        if (n.kind == NodeKind::Cons)
-            return true;
-        if (n.kind == NodeKind::App)
-            return n.payload.size() < arityOf(n.fn);
-        return false;
-    }
-
-    // ---- Allocation (header + per-word charges; empty payloads
-    // ---- still occupy — and charge — one padding word) -------------
-
-    uint64_t
-    allocNode(NodeKind k, Word fn, std::vector<uint64_t> payload)
-    {
-        size_t len = payload.empty() ? 1 : payload.size();
-        charge(t.allocHeader);
-        if (!testhooks::irBrokenAllocCharge)
-            charge(Cycles(len) * t.letPerArg);
-        heap.push_back(Node{ k, fn, std::move(payload) });
-        return mkRef(heap.size() - 1);
-    }
-
-    uint64_t
-    allocApp(Word fn, std::vector<uint64_t> args)
-    {
-        return allocNode(NodeKind::App, fn, std::move(args));
-    }
-
-    uint64_t
-    allocCons(Word fn, std::vector<uint64_t> fields)
-    {
-        return allocNode(NodeKind::Cons, fn, std::move(fields));
-    }
-
-    uint64_t
-    allocAppV(uint64_t callee, const std::vector<uint64_t> &args)
-    {
-        std::vector<uint64_t> p;
-        p.reserve(1 + args.size());
-        p.push_back(callee);
-        p.insert(p.end(), args.begin(), args.end());
-        return allocNode(NodeKind::AppV, 0, std::move(p));
-    }
-
-    uint64_t
-    allocError(SWord code)
-    {
-        return allocCons(static_cast<Word>(Prim::Error), { mkInt(code) });
-    }
-
-    // ---- The step loop ---------------------------------------------
-
-    void
-    advance(Cycles budget)
-    {
-        Cycles target = total + budget;
-        while (st == St::Running && total < target)
-            stepOnce();
+        return PrimOut::value(mkInt(wrapInt31(bus.getInt(intOf(port)))));
     }
 
     void
-    stepOnce()
+    putInt(uint64_t port, uint64_t value)
     {
-        switch (mode) {
-          case Mode::EvalVal:
-            stepEval();
-            break;
-          case Mode::Exec:
-            stepExec();
-            break;
-          case Mode::Deliver:
-            if (conts.empty()) {
-                // The zero-charge final step, like the machine's.
-                st = St::Done;
-                return;
-            }
-            stepDeliver();
-            break;
-        }
+        bus.putInt(intOf(port), intOf(value));
     }
 
-    // ---- EvalVal: force the value register to WHNF -----------------
+    Export exportLeaf(uint64_t v) const { return Value::makeInt(intOf(v)); }
 
-    void
-    stepEval()
+    Export
+    exportNode(bool cons, Word fn, std::vector<Export> items) const
     {
-        uint64_t v = chase(vreg);
-        if (!isRef(v)) {
-            vreg = v;
-            mode = Mode::Deliver;
-            return;
-        }
-        charge(t.whnfCheck);
-        size_t at = idxOf(v);
-        if (heap[at].kind == NodeKind::Blackhole) {
-            fail("re-entered a thunk under evaluation");
-            return;
-        }
-        if (isWhnf(heap[at])) {
-            vreg = v;
-            mode = Mode::Deliver;
-            return;
-        }
-
-        // A thunk: collapse stacked update frames onto it, push a
-        // fresh one, and enter.
-        while (!conts.empty() &&
-               conts.back().kind == FrameKind::Update) {
-            Node &tgt = heap[conts.back().target];
-            tgt.kind = NodeKind::Ind;
-            tgt.fn = 0;
-            tgt.payload.assign(1, v);
-            conts.pop_back();
-            charge(t.collapseUpdate);
-        }
-        Frame up;
-        up.kind = FrameKind::Update;
-        up.target = at;
-        conts.push_back(std::move(up));
-        charge(t.enterThunk);
-
-        Node &n = heap[at];
-        if (n.kind == NodeKind::AppV) {
-            uint64_t callee = n.payload[0];
-            Frame ap;
-            ap.kind = FrameKind::Apply;
-            ap.args.assign(n.payload.begin() + 1, n.payload.end());
-            n.kind = NodeKind::Blackhole;
-            n.payload.clear();
-            conts.push_back(std::move(ap));
-            vreg = callee;
-            return; // stay EvalVal
-        }
-
-        // A saturated (or over-applied) application.
-        std::vector<uint64_t> args = std::move(n.payload);
-        Word fn = n.fn;
-        n.kind = NodeKind::Blackhole;
-        n.payload.clear();
-
-        if (isConsId(fn)) {
-            vreg = allocError(kErrArity);
-            return;
-        }
-        Word arity = arityOf(fn);
-        if (args.size() > arity) {
-            Frame ap;
-            ap.kind = FrameKind::Apply;
-            ap.args.assign(args.begin() + ptrdiff_t(arity), args.end());
-            conts.push_back(std::move(ap));
-            args.resize(arity);
-            charge(t.applyExtra);
-        }
-        if (isPrimId(fn)) {
-            beginPrim(fn, std::move(args));
-            return;
-        }
-        size_t fi = fn - kFirstUserFuncId;
-        if (fi >= m.funcs.size() || m.funcs[fi].body == kNoOp) {
-            fail("entered an unknown function identifier");
-            return;
-        }
-        charge(t.callSetup);
-        act.funcId = fn;
-        act.args = std::move(args);
-        act.locals.clear();
-        act.pc = m.funcs[fi].body;
-        mode = Mode::Exec;
-    }
-
-    void
-    beginPrim(Word fn, std::vector<uint64_t> args)
-    {
-        charge(t.primSetup);
-        if (args.empty()) {
-            fail("zero-arity primitive application");
-            return;
-        }
-        Frame pf;
-        pf.kind = FrameKind::PrimArgs;
-        pf.prim = fn;
-        pf.args = std::move(args);
-        conts.push_back(std::move(pf));
-        vreg = conts.back().args[0];
-        mode = Mode::EvalVal;
-    }
-
-    // ---- Exec: run instruction ops ---------------------------------
-
-    void
-    stepExec()
-    {
-        if (act.pc >= m.ops.size()) {
-            fail("program counter ran off the image");
-            return;
-        }
-        const Op &op = m.ops[act.pc];
-        switch (op.kind) {
-          case OpKind::Let:
-            execLet(op);
-            break;
-          case OpKind::Case:
-            execCase(op);
-            break;
-          case OpKind::Result:
-            execResult(op);
-            break;
-        }
-    }
-
-    bool
-    resolve(const Operand &o, uint64_t &out)
-    {
-        switch (o.src) {
-          case Src::Imm:
-            out = mkInt(o.val);
-            return true;
-          case Src::Local:
-            if (size_t(Word(o.val)) >= act.locals.size()) {
-                fail("local operand index out of range");
-                return false;
-            }
-            out = act.locals[size_t(Word(o.val))];
-            return true;
-          case Src::Arg:
-            if (size_t(Word(o.val)) >= act.args.size()) {
-                fail("argument operand index out of range");
-                return false;
-            }
-            out = act.args[size_t(Word(o.val))];
-            return true;
-        }
-        fail("bad operand source");
-        return false;
-    }
-
-    void
-    execLet(const Op &op)
-    {
-        charge(t.letBase);
-        // Per-argument fetch charges land before each resolve, so a
-        // mid-list fault leaves the machine's exact partial charge.
-        letScratch.clear();
-        for (uint32_t i = 0; i < op.nargs; ++i) {
-            charge(t.letPerArg);
-            uint64_t v;
-            if (!resolve(m.operands[op.argsBegin + i], v))
-                return;
-            letScratch.push_back(v);
-        }
-
-        uint64_t bound = 0;
-        if (op.callee.kind == CalleeKind::Func) {
-            if (op.callee.cls == CalleeClass::Unknown) {
-                fail("let names an unknown function identifier");
-                return;
-            }
-            if (op.callee.cls == CalleeClass::Cons) {
-                if (letScratch.size() == op.callee.arity)
-                    bound = allocCons(op.callee.id, letScratch);
-                else if (letScratch.size() > op.callee.arity)
-                    bound = allocError(kErrArity);
-                else
-                    bound = allocApp(op.callee.id, letScratch);
-            } else {
-                // Primitives and user functions build an application
-                // object either way; over-application is resolved at
-                // force time.
-                bound = allocApp(op.callee.id, letScratch);
-            }
-        } else {
-            const std::vector<uint64_t> &slots =
-                op.callee.kind == CalleeKind::Local ? act.locals
-                                                    : act.args;
-            if (op.callee.id >= slots.size()) {
-                fail("callee slot index out of range");
-                return;
-            }
-            uint64_t calleeVal = slots[op.callee.id];
-            if (letScratch.empty()) {
-                charge(t.collapseUpdate); // the alias-binding state
-                bound = calleeVal;
-            } else if (!bindApply(calleeVal, bound)) {
-                return;
-            }
-        }
-        act.locals.push_back(bound);
-        act.pc = op.next;
-    }
-
-    /** Apply a closure-slot callee to letScratch. */
-    bool
-    bindApply(uint64_t calleeWord, uint64_t &bound)
-    {
-        uint64_t v = chase(calleeWord);
-        if (!isRef(v)) {
-            bound = allocError(kErrBadApply);
-            return true;
-        }
-        const Node &n = heap[idxOf(v)];
-        if (n.kind == NodeKind::Cons) {
-            if (n.fn == static_cast<Word>(Prim::Error))
-                bound = v; // errors flow through application
-            else
-                bound = allocError(kErrArity);
-            return true;
-        }
-        if (n.kind == NodeKind::App &&
-            n.payload.size() < arityOf(n.fn)) {
-            // Copy-and-extend a partial application.
-            size_t have = n.payload.size();
-            charge(Cycles(have) * t.copyPartialPerWord);
-            Word fn = n.fn;
-            std::vector<uint64_t> args = n.payload;
-            args.insert(args.end(), letScratch.begin(),
-                        letScratch.end());
-            bound = finishApply(fn, std::move(args));
-            return true;
-        }
-        // An unevaluated callee (thunk) — defer: build an AppV over
-        // the *original* word so sharing and update order match.
-        bound = allocAppV(calleeWord, letScratch);
-        return true;
-    }
-
-    uint64_t
-    finishApply(Word fn, std::vector<uint64_t> args)
-    {
-        if (isConsId(fn)) {
-            Word arity = arityOf(fn);
-            if (args.size() == arity)
-                return allocCons(fn, std::move(args));
-            if (args.size() > arity)
-                return allocError(kErrArity);
-        }
-        return allocApp(fn, std::move(args));
-    }
-
-    void
-    execCase(const Op &op)
-    {
-        charge(t.caseBase);
-        uint64_t scrut;
-        if (!resolve(op.operand, scrut))
-            return;
-        Frame cf;
-        cf.kind = FrameKind::Case;
-        cf.funcId = act.funcId;
-        cf.pc = act.pc;
-        cf.args = std::move(act.args);
-        cf.locals = std::move(act.locals);
-        conts.push_back(std::move(cf));
-        vreg = scrut;
-        mode = Mode::EvalVal;
-    }
-
-    void
-    execResult(const Op &op)
-    {
-        charge(t.resultBase);
-        uint64_t v;
-        if (!resolve(op.operand, v))
-            return;
-        vreg = v;
-        mode = Mode::EvalVal;
-    }
-
-    // ---- Deliver: consume a WHNF value -----------------------------
-
-    void
-    stepDeliver()
-    {
-        Frame &f = conts.back();
-        switch (f.kind) {
-          case FrameKind::Update: {
-            Node &tgt = heap[f.target];
-            tgt.kind = NodeKind::Ind;
-            tgt.fn = 0;
-            tgt.payload.assign(1, vreg);
-            conts.pop_back();
-            charge(t.update);
-            break; // stay Deliver
-          }
-          case FrameKind::Case:
-            act.funcId = f.funcId;
-            act.pc = f.pc;
-            act.args = std::move(f.args);
-            act.locals = std::move(f.locals);
-            conts.pop_back();
-            charge(t.returnToCase);
-            resumeCase();
-            break;
-          case FrameKind::PrimArgs:
-            resumePrim();
-            break;
-          case FrameKind::Apply:
-            resumeApply();
-            break;
-        }
-    }
-
-    void
-    resumeCase()
-    {
-        const Op &op = m.ops[act.pc];
-        uint64_t v = chase(vreg);
-        for (uint32_t i = 0; i < op.patCount; ++i) {
-            const Pattern &p = m.patterns[op.patBegin + i];
-            charge(t.branchHead); // one cycle per visited head
-            if (p.isCons) {
-                if (!isRef(v))
-                    continue;
-                const Node &n = heap[idxOf(v)];
-                if (n.kind != NodeKind::Cons || n.fn != p.consId)
-                    continue;
-                size_t nf = n.payload.size();
-                for (size_t k = 0; k < nf; ++k) {
-                    size_t src = testhooks::irBrokenCaseFieldOrder
-                                     ? nf - 1 - k
-                                     : k;
-                    act.locals.push_back(n.payload[src]);
-                    charge(t.fieldPush);
-                }
-                act.pc = p.body;
-                mode = Mode::Exec;
-                return;
-            }
-            if (!isRef(v) && intOf(v) == p.lit) {
-                act.pc = p.body;
-                mode = Mode::Exec;
-                return;
-            }
-        }
-        act.pc = op.elseBody; // the else branch costs no extra head
-        mode = Mode::Exec;
-    }
-
-    void
-    resumePrim()
-    {
-        Frame &f = conts.back();
-        charge(t.primPerArg); // fetch + integer check, every operand
-        uint64_t v = chase(vreg);
-        if (isRef(v)) {
-            // A non-integer operand: errors pass through, anything
-            // else becomes the primitive's domain error.
-            const Node &n = heap[idxOf(v)];
-            bool isErr = n.kind == NodeKind::Cons &&
-                         n.fn == static_cast<Word>(Prim::Error);
-            Word prim = f.prim;
-            conts.pop_back();
-            if (isErr)
-                vreg = v;
-            else
-                vreg = allocError(
-                    prim == static_cast<Word>(Prim::GetInt) ||
-                            prim == static_cast<Word>(Prim::PutInt)
-                        ? kErrIoNotInt
-                        : kErrBadApply);
-            mode = Mode::Deliver;
-            return;
-        }
-        f.collected.push_back(intOf(v));
-        ++f.nextArg;
-        if (f.nextArg < f.args.size()) {
-            vreg = f.args[f.nextArg];
-            mode = Mode::EvalVal;
-            return;
-        }
-
-        // All operands collected: run the primitive.
-        Word prim = f.prim;
-        std::vector<SWord> collected = std::move(f.collected);
-        conts.pop_back();
-        switch (static_cast<Prim>(prim)) {
-          case Prim::GetInt:
-            charge(t.ioOp);
-            vreg = mkInt(wrapInt31(bus.getInt(collected[0])));
-            break;
-          case Prim::PutInt:
-            charge(t.ioOp);
-            bus.putInt(collected[0], collected[1]);
-            vreg = mkInt(collected[1]);
-            break;
-          case Prim::InvokeGc:
-            // The machine collects here on its separate GC ledger;
-            // cycles() is untouched either way, so so is `total`.
-            vreg = mkInt(collected[0]);
-            break;
-          default: {
-            charge(t.aluOp);
-            PrimResult r = evalAlu(static_cast<Prim>(prim), collected);
-            vreg = r.ok ? mkInt(r.value) : allocError(r.errCode);
-            break;
-          }
-        }
-        mode = Mode::Deliver;
-    }
-
-    void
-    resumeApply()
-    {
-        std::vector<uint64_t> extra = std::move(conts.back().args);
-        conts.pop_back();
-        charge(t.applyExtra);
-        uint64_t v = chase(vreg);
-        if (!isRef(v)) {
-            // Errors are already WHNF: deliver without re-checking.
-            vreg = allocError(kErrBadApply);
-            mode = Mode::Deliver;
-            return;
-        }
-        const Node &n = heap[idxOf(v)];
-        if (n.kind == NodeKind::Cons) {
-            if (n.fn == static_cast<Word>(Prim::Error))
-                vreg = v;
-            else
-                vreg = allocError(kErrArity);
-            mode = Mode::Deliver;
-            return;
-        }
-        if (n.kind == NodeKind::App &&
-            n.payload.size() < arityOf(n.fn)) {
-            size_t have = n.payload.size();
-            charge(Cycles(have) * t.copyPartialPerWord);
-            Word fn = n.fn;
-            std::vector<uint64_t> args = n.payload;
-            args.insert(args.end(), extra.begin(), extra.end());
-            vreg = finishApply(fn, std::move(args));
-            mode = Mode::EvalVal;
-            return;
-        }
-        // Delivered values are WHNF; anything else is unreachable.
-        fail("apply resumed on an unevaluated value");
-    }
-
-    // ---- Export: deep-force the final value for the host -----------
-
-    ValuePtr
-    exportValue(uint64_t w, int depth)
-    {
-        if (depth > 512) {
-            fail("deep-force recursion limit exceeded");
-            return nullptr;
-        }
-        if (!forceForExport(w))
-            return nullptr;
-        uint64_t v = chase(vreg);
-        if (!isRef(v))
-            return Value::makeInt(intOf(v));
-        // Copy the node out: the recursion below reallocates heap.
-        Word fn = heap[idxOf(v)].fn;
-        bool cons = heap[idxOf(v)].kind == NodeKind::Cons;
-        std::vector<uint64_t> payload = heap[idxOf(v)].payload;
-        std::vector<ValuePtr> items;
-        items.reserve(payload.size());
-        for (uint64_t item : payload) {
-            ValuePtr iv = exportValue(item, depth + 1);
-            if (!iv)
-                return nullptr;
-            items.push_back(std::move(iv));
-        }
         return cons ? Value::makeCons(fn, std::move(items))
                     : Value::makeClosure(fn, std::move(items));
     }
 
-    /** Force one value to WHNF with the normal (charged) step loop.
-     *  Bounded by exportFuel/hardStopCycles where the machine is
-     *  bounded by its heap instead. */
-    bool
-    forceForExport(uint64_t w)
-    {
-        vreg = w;
-        mode = Mode::EvalVal;
-        size_t base = conts.size();
-        while (true) {
-            if (st != St::Running)
-                return false;
-            if (mode == Mode::Deliver && conts.size() == base)
-                return true;
-            if (exportSteps >= cfg.exportFuel ||
-                (cfg.hardStopCycles && total > cfg.hardStopCycles)) {
-                st = St::Fuel;
-                diag = "export fuel exhausted";
-                return false;
-            }
-            ++exportSteps;
-            stepOnce();
-        }
-    }
-
-    // ---- State -----------------------------------------------------
-
-    struct Activation
-    {
-        Word funcId = 0;
-        uint32_t pc = 0;
-        std::vector<uint64_t> args;
-        std::vector<uint64_t> locals;
-    };
-
-    const Module &m;
+  private:
     IoBus &bus;
-    const EvalConfig &cfg;
-    const TimingModel &t;
-
-    std::vector<Node> heap;
-    std::vector<Frame> conts;
-    Activation act;
-    uint64_t vreg = 0;
-    Mode mode = Mode::EvalVal;
-    St st = St::Running;
-    std::string diag;
-    Cycles total = 0;
-    Cycles exportSteps = 0;
-    std::vector<uint64_t> letScratch;
+    std::vector<SWord> ints; ///< evalAlu's operand list, reused
 };
 
 } // namespace
@@ -802,8 +96,34 @@ outcomeStatusName(Outcome::Status st)
 Outcome
 evalModule(const Module &m, IoBus &bus, const EvalConfig &config)
 {
-    Evaluator ev(m, bus, config);
-    return ev.run();
+    Concrete dom(bus);
+    Evaluator<Concrete> ev(m, dom, config.timing);
+    // The cycle budget starts after load and boot.
+    ev.run(ev.cycles() + config.maxCycles, kUnbounded);
+    Outcome out;
+    if (ev.state() == RunState::Done)
+        out.value = ev.exportResult(ev.stepCount() + config.exportFuel,
+                                    config.hardStopCycles);
+    out.cycles = ev.cycles();
+    switch (ev.state()) {
+      case RunState::Done:
+        out.status = Outcome::Status::Done;
+        break;
+      case RunState::Running:
+        out.status = Outcome::Status::OutOfFuel;
+        out.diagnostic = "cycle budget exhausted";
+        break;
+      case RunState::Fuel:
+        out.status = Outcome::Status::OutOfFuel;
+        out.diagnostic = ev.diagnostic();
+        break;
+      case RunState::Stuck:
+      case RunState::Cut:
+        out.status = Outcome::Status::Stuck;
+        out.diagnostic = ev.diagnostic();
+        break;
+    }
+    return out;
 }
 
 } // namespace zarf::ir

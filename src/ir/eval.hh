@@ -12,6 +12,9 @@
  * machine accepts, a correct lift evaluates to the machine's exact
  * outcome, value, I/O trace, and Machine::cycles() figure; the
  * differential oracle (fuzz/oracle.hh, compareIr) enforces this.
+ * The evaluator is the core of ir/core.hh over the concrete domain;
+ * the symbolic engine (sym/eval.hh) runs the same core over terms,
+ * so its per-path cycles are this ledger too.
  *
  * Deliberate differences from the machine, and why they are sound:
  *   - The node heap is host-allocated and unbounded, so the

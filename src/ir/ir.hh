@@ -9,8 +9,8 @@
  * 31-bit words with resolved callees, explicit static effect
  * annotations, and per-op static cycle annotations drawn from the
  * machine's TimingModel — the representation the lifter (ir/lift.hh)
- * produces and the reference evaluator (ir/eval.hh), the symbolic
- * engine's site walk, and future JIT/WCET consumers read.
+ * produces and the evaluator core (ir/core.hh) runs, concretely
+ * (ir/eval.hh) and symbolically (sym/eval.hh).
  *
  * Design points:
  *   - SSA-ish let normalization is inherited from the ISA itself:
@@ -104,14 +104,15 @@ struct Op
 {
     OpKind kind = OpKind::Result;
 
+    // Every kind: the op's operands are Module::operands[argsBegin,
+    // argsBegin + nargs) — a let's arguments, a case's scrutinee, a
+    // result's yielded value.
+    uint32_t argsBegin = 0;
+    uint32_t nargs = 0;
+
     // Let.
     CalleeRef callee;
-    uint32_t argsBegin = 0; ///< Index into Module::operands.
-    uint32_t nargs = 0;
     uint32_t next = kNoOp;  ///< Op executed after the binding.
-
-    // Case (scrutinee) and Result (yielded value).
-    Operand operand{ Src::Imm, 0 };
 
     // Case.
     uint32_t patBegin = 0; ///< Index into Module::patterns.
@@ -158,15 +159,19 @@ struct Module
                              ///< AST with no binary provenance).
 
     std::vector<Op> ops;
-    std::vector<Operand> operands; ///< All let argument lists.
+    std::vector<Operand> operands; ///< Every op's operands, in lift
+                                   ///< order (see Op::argsBegin).
     std::vector<Pattern> patterns; ///< All case pattern lists; each
                                    ///< case's block is contiguous.
     std::vector<IdEntry> ids;      ///< Size kFirstUserFuncId + nfuncs.
 
-    /** Immediate-operand values of the entry function's body in the
-     *  canonical site order (isa/sites.hh) — the lift-time view of
-     *  the sites the symbolic engine treats as program inputs. */
-    std::vector<SWord> entryImmValues;
+    /** The entry sites: the operands-table index of each immediate
+     *  operand of the entry function's body, in the canonical site
+     *  order (isa/sites.hh) — entry site k is operands[entrySites[k]].
+     *  The lifter emits operands in that order, so this is the
+     *  entry body's immediates read off its operand range; the
+     *  symbolic engine treats site k as input variable k. */
+    std::vector<uint32_t> entrySites;
 
     /** Global id of declaration index i. */
     static Word idOf(size_t i) { return kFirstUserFuncId + Word(i); }

@@ -92,7 +92,9 @@ liftExpr(const Expr &e, Module &m, const TimingModel &t)
         const Case &c = e.asCase();
         Op op;
         op.kind = OpKind::Case;
-        op.operand = c.scrut;
+        op.argsBegin = uint32_t(m.operands.size());
+        op.nargs = 1;
+        m.operands.push_back(c.scrut);
         op.patBegin = uint32_t(m.patterns.size());
         op.patCount = uint32_t(c.branches.size());
         op.effects = kEffForce | kEffCall | kEffIo | kEffError;
@@ -120,7 +122,9 @@ liftExpr(const Expr &e, Module &m, const TimingModel &t)
 
     Op op;
     op.kind = OpKind::Result;
-    op.operand = e.asResult().value;
+    op.argsBegin = uint32_t(m.operands.size());
+    op.nargs = 1;
+    m.operands.push_back(e.asResult().value);
     op.staticCycles = t.resultBase;
     m.ops[at] = op;
     return at;
@@ -152,28 +156,30 @@ liftProgram(const Program &program, size_t imageWords)
         e.exists = true;
     }
 
+    int entry = program.entryIndex();
+    m.hasEntry = entry >= 0;
+    m.entry = m.hasEntry ? Word(entry) : 0;
+
     TimingModel t{}; // static annotations use the default model
     m.funcs.reserve(program.decls.size());
-    for (const Decl &d : program.decls) {
+    for (size_t i = 0; i < program.decls.size(); ++i) {
+        const Decl &d = program.decls[i];
         Func f;
         f.isCons = d.isCons;
         f.arity = d.arity;
         f.numLocals = d.numLocals;
+        uint32_t first = uint32_t(m.operands.size());
         if (!d.isCons && d.body)
             f.body = liftExpr(*d.body, m, t);
         m.funcs.push_back(f);
-    }
-
-    int entry = program.entryIndex();
-    if (entry >= 0) {
-        m.hasEntry = true;
-        m.entry = Word(entry);
-        const Decl &ed = program.decls[size_t(entry)];
-        if (ed.body) {
-            forEachOperandSite(*ed.body, [&](const Operand &op) {
-                if (op.src == Src::Imm)
-                    m.entryImmValues.push_back(op.val);
-            });
+        // liftExpr emits a body's operands contiguously and in the
+        // canonical site order, so the entry sites are the
+        // immediates of the entry body's operand range.
+        if (m.hasEntry && i == m.entry) {
+            for (uint32_t k = first; k < m.operands.size(); ++k) {
+                if (m.operands[k].src == Src::Imm)
+                    m.entrySites.push_back(k);
+            }
         }
     }
     return r;

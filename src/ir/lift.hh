@@ -46,7 +46,7 @@ struct LiftResult
 
     /** Pointers to the entry body's immediate operand sites in the
      *  canonical order (isa/sites.hh), parallel to
-     *  module.entryImmValues. Filled only by the mutable-Program
+     *  module.entrySites. Filled only by the mutable-Program
      *  overload; consumers (sym's site collection) write solver
      *  models back through them. */
     std::vector<Operand *> entrySitePtrs;

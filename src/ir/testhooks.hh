@@ -7,9 +7,10 @@
  * proof that a real lifting or transfer-rule bug would surface as an
  * oracle divergence rather than slipping through. These flags seed
  * such bugs on demand, mirroring machine/testhooks.hh and
- * sym/testhooks.hh. All default to false; production code never sets
- * them. Tests that do must restore them (RAII guard) — they are
- * process-global.
+ * sym/testhooks.hh. They sit in the evaluator core (ir/core.hh), so
+ * they reach the concrete and the symbolic domain alike. All default
+ * to false; production code never sets them. Tests that do must
+ * restore them (RAII guard) — they are process-global.
  */
 
 #ifndef ZARF_IR_TESTHOOKS_HH

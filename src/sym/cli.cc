@@ -103,7 +103,7 @@ runOne(const std::string &name, const Image &img,
     if (proveWcet) {
         if (rep.wcetComplete) {
             std::printf("  WCET proved: %llu cycles (load "
-                        "included), dominance checked on %llu "
+                        "included), cycles exact on %llu "
                         "replayed paths\n",
                         (unsigned long long)rep.wcetBound,
                         (unsigned long long)rep.replayedPaths);

@@ -1,6 +1,7 @@
 #include "sym/concolic.hh"
 
 #include "isa/encoding.hh"
+#include "machine/timing.hh"
 #include "support/random.hh"
 #include "verify/parallel.hh"
 
@@ -149,36 +150,36 @@ checkOnePath(const TermArena &arena, const PathRun &run,
                                    : "<none>");
             return v;
         }
-        std::vector<fuzz::RecordBus::IoOp> pio;
-        if (!concretizeIo(arena, run.io, model, pio)) {
+    }
+
+    // A Stuck path latches after the same I/O and cycles as the
+    // machine, so both are checked on Done and Stuck alike.
+    std::vector<fuzz::RecordBus::IoOp> pio;
+    if (!concretizeIo(arena, run.io, model, pio)) {
+        v.check = PathCheck::Diverged;
+        v.detail = "symbolic io log unevaluable under its own model";
+        return v;
+    }
+    if (pio.size() != o.uopIo.size()) {
+        v.check = PathCheck::Diverged;
+        v.detail = "io length mismatch: predicted " +
+                   std::to_string(pio.size()) + " ops vs machine " +
+                   std::to_string(o.uopIo.size());
+        return v;
+    }
+    for (size_t k = 0; k < pio.size(); ++k) {
+        if (!(pio[k] == o.uopIo[k])) {
             v.check = PathCheck::Diverged;
-            v.detail =
-                "symbolic io log unevaluable under its own model";
+            v.detail = "io op " + std::to_string(k) +
+                       " mismatch: predicted " + ioOpStr(pio[k]) +
+                       " vs machine " + ioOpStr(o.uopIo[k]);
             return v;
-        }
-        if (pio.size() != o.uopIo.size()) {
-            v.check = PathCheck::Diverged;
-            v.detail = "io length mismatch: predicted " +
-                       std::to_string(pio.size()) +
-                       " ops vs machine " +
-                       std::to_string(o.uopIo.size());
-            return v;
-        }
-        for (size_t k = 0; k < pio.size(); ++k) {
-            if (!(pio[k] == o.uopIo[k])) {
-                v.check = PathCheck::Diverged;
-                v.detail = "io op " + std::to_string(k) +
-                           " mismatch: predicted " +
-                           ioOpStr(pio[k]) + " vs machine " +
-                           ioOpStr(o.uopIo[k]);
-                return v;
-            }
         }
     }
 
-    if (predicted < o.uopCycles) {
+    if (predicted != o.uopCycles) {
         v.check = PathCheck::Diverged;
-        v.detail = "cycle bound violated: predicted ≤ " +
+        v.detail = "cycle mismatch: predicted " +
                    std::to_string(predicted) +
                    " but the machine took " +
                    std::to_string(o.uopCycles);
@@ -219,8 +220,7 @@ runConcolic(const Image &image, const ConcolicConfig &cfg)
     rep.numVars = eval.numVars();
     ExploreResult ex = explorePaths(eval, cfg.explore);
     rep.exhaustive = ex.exhaustive;
-    Cycles loadCycles =
-        Cycles(image.size()) * cfg.eval.timing.loadWord;
+    Cycles loadCycles = Cycles(image.size()) * TimingModel{}.loadWord;
     rep.wcetBound = ex.maxCycleBound + loadCycles;
     rep.wcetComplete = ex.boundComplete;
 

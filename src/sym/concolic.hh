@@ -18,10 +18,10 @@
  *      machine*:
  *        - outcome class (Done vs Stuck) must match,
  *        - on Done, the concretized symbolic result must equal the
- *          machine value and the concretized I/O log must equal the
- *          machine I/O log,
- *        - the path's cycle bound (plus load) must dominate the
- *          machine's cycles.
+ *          machine value,
+ *        - on Done and Stuck alike, the concretized I/O log must
+ *          equal the machine I/O log, and the path's cycles (plus
+ *          load) must equal the machine's cycles() exactly.
  *
  * Any mismatch is PathCheck::Diverged — a hard failure: either the
  * symbolic semantics, the solver, or the machine is wrong, and the
@@ -70,7 +70,8 @@ struct PathReport
     std::string detail;
     /** Verified satisfying assignment (solve == Sat). */
     std::vector<SWord> model;
-    /** Predicted cycle upper bound, load included. */
+    /** Predicted λ-cycles, load included: the path's exact
+     *  Machine::cycles() (partial for a truncated path). */
     Cycles predictedCycles = 0;
     /** Concrete µop-machine cycles of the replay (when replayed). */
     Cycles concreteCycles = 0;
@@ -111,8 +112,8 @@ struct ConcolicReport
 
     unsigned numVars = 0;
     bool exhaustive = false;
-    /** WCET claim: max per-path bound + load cycles. A true upper
-     *  bound for the whole program only when wcetComplete. */
+    /** WCET claim: max per-path cycles + load cycles. A bound for
+     *  the whole program only when wcetComplete. */
     Cycles wcetBound = 0;
     bool wcetComplete = false;
 
@@ -133,9 +134,9 @@ struct ConcolicReport
 };
 
 /**
- * Patch a model into a program's symbolic sites and re-encode. Uses
- * the same collectSymSites walk as the evaluator, so site k is
- * variable k by construction.
+ * Patch a model into a program's symbolic sites and re-encode. The
+ * sites come from collectSymSites, the same canonical order as the
+ * evaluator's site table, so site k is variable k by construction.
  */
 Image concretizeImage(const Program &program,
                       const std::vector<SWord> &model,

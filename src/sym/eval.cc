@@ -1,9 +1,9 @@
 #include "sym/eval.hh"
 
-#include <optional>
-#include <unordered_map>
+#include <algorithm>
 
 #include "fuzz/oracle.hh" // RecordBus::scripted — the I/O fixture
+#include "ir/core.hh"
 #include "ir/lift.hh"
 #include "support/logging.hh"
 
@@ -99,50 +99,32 @@ collectSymSites(Program &program, unsigned maxVars)
 }
 
 // ----------------------------------------------------------------
-// The evaluator
+// The evaluator: the IR core over the symbolic domain
 // ----------------------------------------------------------------
 
-namespace
-{
-
-/** A symbolic runtime word: a term or a heap reference. */
-struct SVal
-{
-    bool isTerm;
-    TermId t;
-    size_t r;
-};
-
-SVal svTerm(TermId t) { return { true, t, 0 }; }
-SVal svRef(size_t r) { return { false, kNoTerm, r }; }
-
-/** A symbolic heap node (mirrors sem/smallstep.cc::Node). */
-struct Node
-{
-    enum class Tag { App, Cons, Ind, Blackhole };
-
-    Tag tag = Tag::App;
-    bool calleeIsRef = false;
-    Word fn = 0;
-    SVal callee{};
-    std::vector<SVal> args;
-    SVal ind{};
-};
-
-} // namespace
-
+/**
+ * The symbolic domain of the evaluator core (ir/core.hh): the payload
+ * of a non-reference word is a TermId. It owns the lifted module, the
+ * term arena, and the per-path choice state, and supplies the rules
+ * that differ from the concrete domain; the core owns the heap, the
+ * frames, and the cycle ledger, so a path's cycles are the machine's.
+ */
 class SymEval::Impl
 {
   public:
+    using Export = SymValuePtr;
+
     Impl(const Program &program, SymEvalConfig config)
-        : prog(program.clone()), cfg(config)
+        : mod(ir::liftProgram(program).module), cfg(config)
     {
-        std::vector<Operand *> sites =
-            collectSymSites(prog, cfg.maxVars);
-        for (unsigned i = 0; i < sites.size(); ++i) {
-            siteVar[sites[i]] = i;
-            seeds.push_back(sites[i]->val);
-            varTerm.push_back(terms.variable(i));
+        size_t n = std::min<size_t>(
+            { cfg.maxVars, kMaxSymVars, mod.entrySites.size() });
+        varOf.assign(mod.operands.size(), kNoVar);
+        for (unsigned k = 0; k < n; ++k) {
+            uint32_t at = mod.entrySites[k];
+            varOf[at] = k;
+            seeds.push_back(mod.operands[at].val);
+            varTerm.push_back(terms.variable(k));
         }
     }
 
@@ -151,221 +133,184 @@ class SymEval::Impl
     const TermArena &arenaRef() const { return terms; }
 
     PathRun
-    runPath(const Script &script)
+    runPath(const Script &s)
     {
-        resetRun(script);
-        int entry = prog.entryIndex();
-        if (entry < 0)
-            return stuckRun("program has no entry function");
-        size_t root = allocApp(Program::idOf(size_t(entry)), {});
-        chargeAlloc(0);
-        drive(svRef(root));
-        return finishRun();
+        script = s;
+        choices.clear();
+        cond = PathCond{};
+        io.clear();
+        ioOrdinal = 0;
+        cutWhy.clear();
+
+        ir::Evaluator<Impl> ev(mod, *this, timing);
+        ev.run(ir::kUnbounded, cfg.maxSteps);
+        PathRun r;
+        if (ev.state() == ir::RunState::Done)
+            r.value = ev.exportResult(cfg.maxSteps, 0);
+        switch (ev.state()) {
+          case ir::RunState::Done:
+            r.status = PathRun::Status::Done;
+            break;
+          case ir::RunState::Stuck:
+            r.status = PathRun::Status::Stuck;
+            r.detail = ev.diagnostic();
+            break;
+          case ir::RunState::Running:
+          case ir::RunState::Fuel:
+            r.status = PathRun::Status::Truncated;
+            r.detail = "step fuel exhausted";
+            break;
+          case ir::RunState::Cut:
+            r.status = PathRun::Status::Truncated;
+            r.detail = cutWhy;
+            break;
+        }
+        r.pc = cond.atoms();
+        r.io = std::move(io);
+        r.cycleBound = ev.cycles();
+        r.choices = std::move(choices);
+        r.steps = ev.stepCount();
+        return r;
+    }
+
+    // ---- domain hooks (ir/core.hh) --------------------------------
+
+    uint64_t
+    imm(uint32_t operand, SWord v)
+    {
+        unsigned k = varOf[operand];
+        return k != kNoVar ? varTerm[k] : terms.constant(v);
+    }
+
+    uint64_t errorCode(SWord code) { return terms.constant(code); }
+
+    /** Case on an integer term: a constant dispatches like the
+     *  machine; a symbolic term is a choice point. */
+    int
+    caseArm(uint64_t v, const ir::Pattern *pats, uint32_t n)
+    {
+        TermId t = TermId(v);
+        if (terms.isConst(t)) {
+            SWord c = terms.constValue(t);
+            for (uint32_t i = 0; i < n; ++i) {
+                if (!pats[i].isCons && pats[i].lit == c)
+                    return int(i);
+            }
+            return int(n);
+        }
+        // Alternative k < n enters pattern k, alternative n is the
+        // else arm. Every pattern keeps its slot so scripts stay
+        // aligned with pattern positions; an integer never matches
+        // a constructor pattern, so that slot carries the
+        // contradictory pair t == 0 && t != 0.
+        std::vector<std::vector<Atom>> alts;
+        std::vector<Atom> priorNe;
+        for (uint32_t i = 0; i < n; ++i) {
+            std::vector<Atom> atoms;
+            if (pats[i].isCons) {
+                atoms = { { t, true, 0 }, { t, false, 0 } };
+            } else {
+                atoms = priorNe;
+                atoms.push_back({ t, true, pats[i].lit });
+                priorNe.push_back({ t, false, pats[i].lit });
+            }
+            alts.push_back(std::move(atoms));
+        }
+        alts.push_back(priorNe); // else: no literal pattern matched
+        return choose(alts);
+    }
+
+    ir::PrimOut
+    alu(Prim p, const std::vector<uint64_t> &operands)
+    {
+        TermId a = TermId(operands[0]);
+        TermId b = operands.size() > 1 ? TermId(operands[1]) : kNoTerm;
+        if (p == Prim::Div || p == Prim::Mod) {
+            if (terms.isConst(b)) {
+                if (terms.constValue(b) == 0)
+                    return ir::PrimOut::error(kErrDivZero);
+            } else {
+                // Fork: divisor non-zero first, then the error arm.
+                int take = choose({ { { b, false, 0 } },
+                                    { { b, true, 0 } } });
+                if (take < 0)
+                    return ir::PrimOut::cut();
+                if (take == 1)
+                    return ir::PrimOut::error(kErrDivZero);
+            }
+        }
+        return ir::PrimOut::value(terms.apply(p, a, b));
+    }
+
+    /** getint: the port must be concrete for the scripted read value
+     *  (fuzz/oracle.hh RecordBus) to be a path constant; a symbolic
+     *  port is pinned to its value under the seed assignment. */
+    ir::PrimOut
+    getInt(uint64_t portWord)
+    {
+        TermId port = TermId(portWord);
+        SWord c;
+        if (terms.isConst(port)) {
+            c = terms.constValue(port);
+        } else {
+            TermEvalResult r = terms.evalUnder(port, seeds);
+            if (!r.ok) {
+                cut("getint port unevaluable under the seed "
+                    "assignment");
+                return ir::PrimOut::cut();
+            }
+            c = r.value;
+            if (!cond.add(terms, { port, true, c })) {
+                cut("getint port pin contradicts path condition");
+                return ir::PrimOut::cut();
+            }
+        }
+        TermId val =
+            terms.constant(fuzz::RecordBus::scripted(c, ioOrdinal++));
+        io.push_back({ true, terms.constant(c), val });
+        return ir::PrimOut::value(val);
+    }
+
+    void
+    putInt(uint64_t port, uint64_t value)
+    {
+        io.push_back({ false, TermId(port), TermId(value) });
+    }
+
+    Export
+    exportLeaf(uint64_t v)
+    {
+        auto sv = std::make_shared<SymValue>();
+        sv->kind = SymValue::Kind::Int;
+        sv->t = TermId(v);
+        return sv;
+    }
+
+    Export
+    exportNode(bool cons, Word fn, std::vector<Export> items)
+    {
+        auto sv = std::make_shared<SymValue>();
+        sv->kind = cons ? SymValue::Kind::Cons : SymValue::Kind::Closure;
+        sv->id = fn;
+        sv->items = std::move(items);
+        return sv;
     }
 
   private:
-    enum class Mode { Exec, EvalVal, Deliver, Done, Stuck };
+    static constexpr unsigned kNoVar = ~0u;
 
-    struct Activation
-    {
-        const Decl *decl = nullptr;
-        std::vector<SVal> args;
-        std::vector<SVal> locals;
-        const Expr *pc = nullptr;
-    };
-
-    struct Frame
-    {
-        enum class Kind { Update, Case, PrimArgs, Apply };
-
-        Kind kind;
-        // Update
-        size_t target = 0;
-        // Case
-        Activation act;
-        // PrimArgs
-        Prim prim{};
-        std::vector<SVal> primArgs;
-        std::vector<TermId> collected;
-        size_t nextArg = 0;
-        // Apply
-        std::vector<SVal> extra;
-    };
-
-    // ---- charging -------------------------------------------------
-
-    void chg(Cycles n) { bound += n; }
-
-    /** Allocation of a header plus `payload` word writes. */
+    /** Record why the path stops; the first reason wins. */
     void
-    chargeAlloc(size_t payload)
+    cut(const char *why)
     {
-        chg(cfg.timing.allocHeader +
-            Cycles(payload) * cfg.timing.letPerArg);
+        if (cutWhy.empty())
+            cutWhy = why;
     }
-
-    // ---- heap -----------------------------------------------------
-
-    size_t
-    allocNode(Node n)
-    {
-        heap.push_back(std::move(n));
-        return heap.size() - 1;
-    }
-
-    size_t
-    allocApp(Word fn, std::vector<SVal> args)
-    {
-        Node n;
-        n.tag = Node::Tag::App;
-        n.fn = fn;
-        n.args = std::move(args);
-        return allocNode(std::move(n));
-    }
-
-    size_t
-    allocAppRef(SVal callee, std::vector<SVal> args)
-    {
-        Node n;
-        n.tag = Node::Tag::App;
-        n.calleeIsRef = true;
-        n.callee = callee;
-        n.args = std::move(args);
-        return allocNode(std::move(n));
-    }
-
-    size_t
-    allocCons(Word id, std::vector<SVal> fields)
-    {
-        Node n;
-        n.tag = Node::Tag::Cons;
-        n.fn = id;
-        n.args = std::move(fields);
-        return allocNode(std::move(n));
-    }
-
-    size_t
-    allocError(SWord code)
-    {
-        chargeAlloc(1);
-        return allocCons(static_cast<Word>(Prim::Error),
-                         { svTerm(terms.constant(code)) });
-    }
-
-    SVal
-    chase(SVal v)
-    {
-        while (!v.isTerm && heap[v.r].tag == Node::Tag::Ind)
-            v = heap[v.r].ind;
-        return v;
-    }
-
-    unsigned
-    arityOf(Word id) const
-    {
-        if (isPrimId(id)) {
-            auto p = primById(id);
-            return p ? p->arity : 0;
-        }
-        return prog.decls[Program::indexOf(id)].arity;
-    }
-
-    bool
-    isConsId(Word id) const
-    {
-        if (isPrimId(id)) {
-            auto p = primById(id);
-            return p && p->isConstructor;
-        }
-        return prog.decls[Program::indexOf(id)].isCons;
-    }
-
-    bool
-    nodeIsWhnf(const Node &n) const
-    {
-        if (n.tag == Node::Tag::Cons)
-            return true;
-        if (n.tag != Node::Tag::App || n.calleeIsRef)
-            return false;
-        return n.args.size() < arityOf(n.fn);
-    }
-
-    // ---- run lifecycle -------------------------------------------
-
-    void
-    resetRun(const Script &script)
-    {
-        heap.clear();
-        conts.clear();
-        mode = Mode::Done;
-        stuckWhere.clear();
-        truncatedWhy.clear();
-        steps = 0;
-        bound = 0;
-        ioOrdinal = 0;
-        choiceOrdinal = 0;
-        this->script = script;
-        choices.clear();
-        cond = PathCond{};
-        ioLog.clear();
-        resultValue = nullptr;
-    }
-
-    PathRun
-    stuckRun(std::string why)
-    {
-        PathRun r = finishRun();
-        r.status = PathRun::Status::Stuck;
-        r.detail = std::move(why);
-        return r;
-    }
-
-    PathRun
-    finishRun()
-    {
-        PathRun r;
-        if (!truncatedWhy.empty()) {
-            r.status = PathRun::Status::Truncated;
-            r.detail = truncatedWhy;
-        } else if (mode == Mode::Stuck) {
-            r.status = PathRun::Status::Stuck;
-            r.detail = stuckWhere;
-        } else {
-            r.status = PathRun::Status::Done;
-        }
-        r.pc = cond.atoms();
-        r.value = resultValue;
-        r.io = ioLog;
-        r.cycleBound = bound;
-        r.choices = choices;
-        r.steps = steps;
-        return r;
-    }
-
-    void
-    setStuck(std::string why)
-    {
-        mode = Mode::Stuck;
-        if (stuckWhere.empty())
-            stuckWhere = std::move(why);
-    }
-
-    void
-    setTruncated(std::string why)
-    {
-        mode = Mode::Stuck; // stop the driver loop
-        if (truncatedWhy.empty())
-            truncatedWhy = std::move(why);
-    }
-
-    bool halted() const { return mode == Mode::Stuck; }
-
-    // ---- choice points -------------------------------------------
 
     /**
      * Resolve one choice point. `alts` holds the atom set each
      * alternative would add; the return value is the chosen index,
-     * or -1 when the path halts (truncation or a script/pc
+     * or -1 when the path stops (truncation or a script/pc
      * contradiction). The chosen atoms are added to the condition.
      */
     int
@@ -384,15 +329,15 @@ class SymEval::Impl
 
         unsigned take;
         std::vector<unsigned> siblings;
-        if (choiceOrdinal < script.size()) {
-            take = script[choiceOrdinal];
+        if (choices.size() < script.size()) {
+            take = script[choices.size()];
             if (take >= alts.size() || !viable(alts[take])) {
-                setTruncated("scripted alternative is not viable");
+                cut("scripted alternative is not viable");
                 return -1;
             }
         } else {
             if (choices.size() >= cfg.maxChoices) {
-                setTruncated("choice budget exhausted");
+                cut("choice budget exhausted");
                 return -1;
             }
             int first = -1;
@@ -408,7 +353,7 @@ class SymEval::Impl
                 // Unreachable by construction (the else alternative
                 // of a case and one side of the div fork are always
                 // viable), kept as a safe halt.
-                setTruncated("no viable alternative");
+                cut("no viable alternative");
                 return -1;
             }
             take = unsigned(first);
@@ -418,622 +363,27 @@ class SymEval::Impl
                 panic("sym: viable alternative failed to add");
         }
         choices.push_back({ take, std::move(siblings) });
-        ++choiceOrdinal;
         return int(take);
-    }
-
-    // ---- driver ---------------------------------------------------
-
-    void
-    drive(SVal start)
-    {
-        std::optional<SVal> whnf = forceToWhnf(start);
-        if (!whnf)
-            return;
-        resultValue = deepValue(*whnf, 0);
-    }
-
-    std::optional<SVal>
-    forceToWhnf(SVal v)
-    {
-        mode = Mode::EvalVal;
-        cur = v;
-        size_t base = conts.size();
-        while (true) {
-            if (++steps > cfg.maxSteps) {
-                setTruncated("step fuel exhausted");
-                return std::nullopt;
-            }
-            chg(cfg.padPerStep);
-            switch (mode) {
-              case Mode::EvalVal:
-                stepEval(base);
-                break;
-              case Mode::Exec:
-                stepExec();
-                break;
-              case Mode::Deliver:
-                if (conts.size() == base)
-                    return cur;
-                stepDeliver();
-                break;
-              case Mode::Done:
-                return cur;
-              case Mode::Stuck:
-                return std::nullopt;
-            }
-        }
-    }
-
-    SymValuePtr
-    deepValue(SVal v, unsigned depth)
-    {
-        if (depth > 512) {
-            setStuck("deep-force recursion limit");
-            return nullptr;
-        }
-        v = chase(v);
-        if (v.isTerm) {
-            auto sv = std::make_shared<SymValue>();
-            sv->kind = SymValue::Kind::Int;
-            sv->t = v.t;
-            return sv;
-        }
-        const Node &n = heap[v.r];
-        bool isPartial = n.tag == Node::Tag::App && !n.calleeIsRef &&
-                         n.args.size() < arityOf(n.fn);
-        if (n.tag == Node::Tag::Cons || isPartial) {
-            std::vector<SVal> raw = n.args;
-            Word id = n.fn;
-            auto sv = std::make_shared<SymValue>();
-            sv->kind = n.tag == Node::Tag::Cons
-                           ? SymValue::Kind::Cons
-                           : SymValue::Kind::Closure;
-            sv->id = id;
-            for (SVal f : raw) {
-                auto w = forceToWhnf(f);
-                if (!w)
-                    return nullptr;
-                SymValuePtr fv = deepValue(*w, depth + 1);
-                if (!fv)
-                    return nullptr;
-                sv->items.push_back(std::move(fv));
-            }
-            return sv;
-        }
-        setStuck("deep-force reached a non-WHNF node");
-        return nullptr;
-    }
-
-    // ---- EvalVal --------------------------------------------------
-
-    void
-    stepEval(size_t base)
-    {
-        cur = chase(cur);
-        chg(cfg.timing.whnfCheck);
-        if (cur.isTerm) {
-            mode = Mode::Deliver;
-            return;
-        }
-        Node &n = heap[cur.r];
-        if (n.tag == Node::Tag::Blackhole) {
-            setStuck("self-dependent thunk (infinite loop)");
-            return;
-        }
-        if (nodeIsWhnf(n)) {
-            mode = Mode::Deliver;
-            return;
-        }
-
-        size_t target = cur.r;
-        while (conts.size() > base &&
-               conts.back().kind == Frame::Kind::Update) {
-            heap[conts.back().target].tag = Node::Tag::Ind;
-            heap[conts.back().target].ind = svRef(target);
-            conts.pop_back();
-            chg(cfg.timing.collapseUpdate);
-        }
-        pushUpdate(target);
-        chg(cfg.timing.enterThunk);
-
-        if (n.calleeIsRef) {
-            Frame f;
-            f.kind = Frame::Kind::Apply;
-            f.extra = n.args;
-            SVal callee = n.callee;
-            heap[target].tag = Node::Tag::Blackhole;
-            conts.push_back(std::move(f));
-            cur = callee;
-            return;
-        }
-
-        Word fn = n.fn;
-        unsigned arity = arityOf(fn);
-        std::vector<SVal> args = n.args;
-        heap[target].tag = Node::Tag::Blackhole;
-
-        if (isConsId(fn)) {
-            cur = svRef(allocError(kErrArity));
-            return;
-        }
-        if (args.size() > arity) {
-            Frame f;
-            f.kind = Frame::Kind::Apply;
-            f.extra.assign(args.begin() + arity, args.end());
-            args.resize(arity);
-            conts.push_back(std::move(f));
-        }
-        if (isPrimId(fn)) {
-            beginPrim(static_cast<Prim>(fn), std::move(args));
-            return;
-        }
-        const Decl &d = prog.decls[Program::indexOf(fn)];
-        chg(cfg.timing.callSetup);
-        act = Activation{};
-        act.decl = &d;
-        act.args = std::move(args);
-        act.pc = d.body.get();
-        mode = Mode::Exec;
-    }
-
-    void
-    pushUpdate(size_t target)
-    {
-        Frame f;
-        f.kind = Frame::Kind::Update;
-        f.target = target;
-        conts.push_back(std::move(f));
-    }
-
-    void
-    beginPrim(Prim p, std::vector<SVal> args)
-    {
-        chg(cfg.timing.primSetup);
-        Frame f;
-        f.kind = Frame::Kind::PrimArgs;
-        f.prim = p;
-        f.primArgs = std::move(args);
-        f.nextArg = 0;
-        if (f.primArgs.empty())
-            panic("zero-arity primitive application");
-        SVal first = f.primArgs[0];
-        conts.push_back(std::move(f));
-        cur = first;
-        mode = Mode::EvalVal;
-    }
-
-    // ---- Exec -----------------------------------------------------
-
-    SVal
-    resolveOperand(const Operand &op)
-    {
-        switch (op.src) {
-          case Src::Imm: {
-            auto it = siteVar.find(&op);
-            if (it != siteVar.end())
-                return svTerm(varTerm[it->second]);
-            return svTerm(terms.constant(op.val));
-          }
-          case Src::Arg:
-            if (size_t(op.val) >= act.args.size()) {
-                setStuck("argument index out of range");
-                return svTerm(terms.constant(0));
-            }
-            return act.args[size_t(op.val)];
-          case Src::Local:
-            if (size_t(op.val) >= act.locals.size()) {
-                setStuck("local index out of range");
-                return svTerm(terms.constant(0));
-            }
-            return act.locals[size_t(op.val)];
-        }
-        return svTerm(terms.constant(0));
-    }
-
-    void
-    stepExec()
-    {
-        const Expr &e = *act.pc;
-        if (e.isLet()) {
-            chg(cfg.timing.letBase);
-            execLet(e.asLet());
-            return;
-        }
-        if (e.isCase()) {
-            chg(cfg.timing.caseBase);
-            Frame f;
-            f.kind = Frame::Kind::Case;
-            f.act = act;
-            SVal scrut = resolveOperand(e.asCase().scrut);
-            if (halted())
-                return;
-            conts.push_back(std::move(f));
-            cur = scrut;
-            mode = Mode::EvalVal;
-            return;
-        }
-        chg(cfg.timing.resultBase);
-        SVal v = resolveOperand(e.asResult().value);
-        if (halted())
-            return;
-        cur = v;
-        mode = Mode::EvalVal;
-    }
-
-    void
-    execLet(const Let &l)
-    {
-        std::vector<SVal> args;
-        args.reserve(l.args.size());
-        for (const auto &a : l.args) {
-            chg(cfg.timing.letPerArg);
-            args.push_back(resolveOperand(a));
-            if (halted())
-                return;
-        }
-
-        SVal bound_;
-        if (l.callee.kind == CalleeKind::Func) {
-            Word fn = l.callee.id;
-            if (isPrimId(fn) ? !primById(fn).has_value()
-                             : Program::indexOf(fn) >=
-                                   prog.decls.size()) {
-                setStuck("unknown callee id");
-                return;
-            }
-            if (isConsId(fn) && args.size() == arityOf(fn)) {
-                chargeAlloc(args.size());
-                bound_ = svRef(allocCons(fn, std::move(args)));
-            } else if (isConsId(fn) && args.size() > arityOf(fn)) {
-                bound_ = svRef(allocError(kErrArity));
-            } else {
-                chargeAlloc(args.size());
-                bound_ = svRef(allocApp(fn, std::move(args)));
-            }
-        } else {
-            const std::vector<SVal> &slots =
-                l.callee.kind == CalleeKind::Local ? act.locals
-                                                   : act.args;
-            if (l.callee.id >= slots.size()) {
-                setStuck(l.callee.kind == CalleeKind::Local
-                             ? "callee local out of range"
-                             : "callee arg out of range");
-                return;
-            }
-            SVal callee = slots[l.callee.id];
-            if (args.empty()) {
-                bound_ = callee;
-            } else {
-                SVal c = chase(callee);
-                if (c.isTerm) {
-                    bound_ = svRef(allocError(kErrBadApply));
-                } else if (heap[c.r].tag == Node::Tag::App &&
-                           !heap[c.r].calleeIsRef &&
-                           nodeIsWhnf(heap[c.r])) {
-                    std::vector<SVal> all = heap[c.r].args;
-                    chg(Cycles(all.size()) *
-                        cfg.timing.copyPartialPerWord);
-                    all.insert(all.end(), args.begin(), args.end());
-                    Word fn = heap[c.r].fn;
-                    chargeAlloc(all.size());
-                    if (isConsId(fn) && all.size() == arityOf(fn))
-                        bound_ =
-                            svRef(allocCons(fn, std::move(all)));
-                    else if (isConsId(fn) &&
-                             all.size() > arityOf(fn))
-                        bound_ = svRef(allocError(kErrArity));
-                    else
-                        bound_ = svRef(allocApp(fn, std::move(all)));
-                } else if (heap[c.r].tag == Node::Tag::Cons) {
-                    bound_ = heap[c.r].fn ==
-                                     static_cast<Word>(Prim::Error)
-                                 ? c
-                                 : svRef(allocError(kErrArity));
-                } else {
-                    chargeAlloc(args.size() + 1);
-                    bound_ = svRef(
-                        allocAppRef(callee, std::move(args)));
-                }
-            }
-        }
-        act.locals.push_back(bound_);
-        act.pc = l.body.get();
-    }
-
-    // ---- Deliver --------------------------------------------------
-
-    void
-    stepDeliver()
-    {
-        Frame f = std::move(conts.back());
-        conts.pop_back();
-        switch (f.kind) {
-          case Frame::Kind::Update:
-            heap[f.target].tag = Node::Tag::Ind;
-            heap[f.target].ind = cur;
-            chg(cfg.timing.update);
-            return;
-          case Frame::Kind::Case:
-            act = std::move(f.act);
-            chg(cfg.timing.returnToCase);
-            resumeCase();
-            return;
-          case Frame::Kind::PrimArgs:
-            resumePrim(std::move(f));
-            return;
-          case Frame::Kind::Apply:
-            resumeApply(std::move(f));
-            return;
-        }
-    }
-
-    void
-    resumeCase()
-    {
-        const Case &c = act.pc->asCase();
-        SVal v = chase(cur);
-
-        if (v.isTerm && !terms.isConst(v.t)) {
-            resumeCaseSymbolic(c, v.t);
-            return;
-        }
-
-        // Concrete dispatch (integer constant or heap structure):
-        // mirror of the small-step loop, one branch-head cycle per
-        // examined branch.
-        bool isInt = v.isTerm;
-        SWord iv = isInt ? terms.constValue(v.t) : 0;
-        const Node *node = isInt ? nullptr : &heap[v.r];
-        for (const auto &br : c.branches) {
-            chg(cfg.timing.branchHead);
-            bool match;
-            if (br.isCons) {
-                match = node && node->tag == Node::Tag::Cons &&
-                        node->fn == br.consId;
-            } else {
-                match = isInt && iv == br.lit;
-            }
-            if (!match)
-                continue;
-            if (br.isCons) {
-                for (const SVal &field : node->args) {
-                    act.locals.push_back(field);
-                    chg(cfg.timing.fieldPush);
-                }
-            }
-            act.pc = br.body.get();
-            mode = Mode::Exec;
-            return;
-        }
-        act.pc = c.elseBody.get();
-        mode = Mode::Exec;
-    }
-
-    /** Case dispatch on a symbolic integer: fork over the literal
-     *  branches (constructor patterns can never match an integer)
-     *  plus the else branch. */
-    void
-    resumeCaseSymbolic(const Case &c, TermId t)
-    {
-        std::vector<std::vector<Atom>> alts;
-        // Alternative k (k < #branches): enter branch k. Viable
-        // only for literal branches; a constructor alternative gets
-        // an impossible atom set marker via one self-contradictory
-        // pair — simpler: give it the atoms of "no": we encode
-        // constructor branches as non-viable by an empty marker
-        // below. To keep alternative indices aligned with branch
-        // positions (so scripts are stable), every branch gets a
-        // slot; constructor slots carry an unsatisfiable pair.
-        std::vector<Atom> priorNe;
-        for (const auto &br : c.branches) {
-            std::vector<Atom> atoms;
-            if (br.isCons) {
-                // An integer never matches a constructor pattern:
-                // t == 0 && t != 0 is trivially non-viable.
-                atoms.push_back({ t, true, 0 });
-                atoms.push_back({ t, false, 0 });
-            } else {
-                atoms = priorNe;
-                atoms.push_back({ t, true, br.lit });
-                priorNe.push_back({ t, false, br.lit });
-            }
-            alts.push_back(std::move(atoms));
-        }
-        alts.push_back(priorNe); // else: no literal branch matched
-
-        int take = choose(alts);
-        if (take < 0)
-            return;
-        if (size_t(take) == c.branches.size()) {
-            // else branch: every branch head was examined.
-            chg(Cycles(c.branches.size()) * cfg.timing.branchHead);
-            act.pc = c.elseBody.get();
-        } else {
-            chg(Cycles(take + 1) * cfg.timing.branchHead);
-            act.pc = c.branches[size_t(take)].body.get();
-        }
-        mode = Mode::Exec;
-    }
-
-    void
-    resumePrim(Frame f)
-    {
-        SVal v = chase(cur);
-        Prim p = f.prim;
-
-        if (!v.isTerm) {
-            const Node &n = heap[v.r];
-            if (n.tag == Node::Tag::Cons &&
-                n.fn == static_cast<Word>(Prim::Error)) {
-                cur = v;
-                mode = Mode::Deliver;
-                return;
-            }
-            SWord code = (p == Prim::GetInt || p == Prim::PutInt)
-                             ? kErrIoNotInt
-                             : kErrBadApply;
-            cur = svRef(allocError(code));
-            mode = Mode::Deliver;
-            return;
-        }
-
-        chg(cfg.timing.primPerArg);
-        f.collected.push_back(v.t);
-        f.nextArg++;
-        if (f.nextArg < f.primArgs.size()) {
-            SVal next = f.primArgs[f.nextArg];
-            conts.push_back(std::move(f));
-            cur = next;
-            mode = Mode::EvalVal;
-            return;
-        }
-
-        switch (p) {
-          case Prim::GetInt:
-            doGetInt(f.collected[0]);
-            break;
-          case Prim::PutInt:
-            chg(cfg.timing.ioOp);
-            ioLog.push_back(
-                { false, f.collected[0], f.collected[1] });
-            cur = svTerm(f.collected[1]);
-            mode = Mode::Deliver;
-            break;
-          case Prim::InvokeGc:
-            chg(cfg.timing.ioOp);
-            cur = svTerm(f.collected[0]);
-            mode = Mode::Deliver;
-            break;
-          default:
-            doAlu(p, f.collected);
-            break;
-        }
-    }
-
-    /** getint: the port must be concrete for the scripted read value
-     *  (fuzz/oracle.hh RecordBus) to be a path constant; a symbolic
-     *  port is pinned to its value under the seed assignment. */
-    void
-    doGetInt(TermId port)
-    {
-        chg(cfg.timing.ioOp);
-        SWord c;
-        if (terms.isConst(port)) {
-            c = terms.constValue(port);
-        } else {
-            TermEvalResult r = terms.evalUnder(port, seeds);
-            if (!r.ok) {
-                setTruncated("getint port unevaluable under the "
-                             "seed assignment");
-                return;
-            }
-            c = r.value;
-            if (!cond.add(terms, { port, true, c })) {
-                setTruncated(
-                    "getint port pin contradicts path condition");
-                return;
-            }
-        }
-        SWord read = wrapInt31(
-            fuzz::RecordBus::scripted(c, ioOrdinal++));
-        TermId val = terms.constant(read);
-        ioLog.push_back({ true, terms.constant(c), val });
-        cur = svTerm(val);
-        mode = Mode::Deliver;
-    }
-
-    void
-    doAlu(Prim p, const std::vector<TermId> &args)
-    {
-        chg(cfg.timing.aluOp);
-        if (p == Prim::Div || p == Prim::Mod) {
-            TermId b = args[1];
-            if (terms.isConst(b)) {
-                if (terms.constValue(b) == 0) {
-                    cur = svRef(allocError(kErrDivZero));
-                    mode = Mode::Deliver;
-                    return;
-                }
-            } else {
-                // Fork: divisor non-zero first, then the error arm.
-                std::vector<std::vector<Atom>> alts;
-                alts.push_back({ { b, false, 0 } });
-                alts.push_back({ { b, true, 0 } });
-                int take = choose(alts);
-                if (take < 0)
-                    return;
-                if (take == 1) {
-                    cur = svRef(allocError(kErrDivZero));
-                    mode = Mode::Deliver;
-                    return;
-                }
-            }
-        }
-        TermId r = args.size() == 1
-                       ? terms.apply(p, args[0])
-                       : terms.apply(p, args[0], args[1]);
-        cur = svTerm(r);
-        mode = Mode::Deliver;
-    }
-
-    void
-    resumeApply(Frame f)
-    {
-        chg(cfg.timing.applyExtra);
-        SVal v = chase(cur);
-        if (v.isTerm) {
-            cur = svRef(allocError(kErrBadApply));
-            mode = Mode::Deliver;
-            return;
-        }
-        const Node &n = heap[v.r];
-        if (n.tag == Node::Tag::Cons) {
-            cur = n.fn == static_cast<Word>(Prim::Error)
-                      ? v
-                      : svRef(allocError(kErrArity));
-            mode = Mode::Deliver;
-            return;
-        }
-        std::vector<SVal> all = n.args;
-        chg(Cycles(all.size()) * cfg.timing.copyPartialPerWord);
-        all.insert(all.end(), f.extra.begin(), f.extra.end());
-        Word fn = n.fn;
-        chargeAlloc(all.size());
-        if (isConsId(fn) && all.size() == arityOf(fn))
-            cur = svRef(allocCons(fn, std::move(all)));
-        else if (isConsId(fn) && all.size() > arityOf(fn))
-            cur = svRef(allocError(kErrArity));
-        else
-            cur = svRef(allocApp(fn, std::move(all)));
-        mode = Mode::EvalVal;
     }
 
     // ---- state ----------------------------------------------------
 
-    Program prog;
-    SymEvalConfig cfg;
+    const ir::Module mod;
+    const SymEvalConfig cfg;
+    const TimingModel timing{};
     TermArena terms;
-    std::unordered_map<const Operand *, unsigned> siteVar;
+    /** Input variable of each operand (kNoVar: not an input site). */
+    std::vector<unsigned> varOf;
     std::vector<SWord> seeds;
     std::vector<TermId> varTerm;
 
-    std::vector<Node> heap;
-    std::vector<Frame> conts;
-    Activation act;
-    SVal cur{};
-    Mode mode = Mode::Done;
-    std::string stuckWhere;
-    std::string truncatedWhy;
-    uint64_t steps = 0;
-    Cycles bound = 0;
-    uint64_t ioOrdinal = 0;
-    unsigned choiceOrdinal = 0;
+    // Per path.
     Script script;
     std::vector<ChoiceRec> choices;
     PathCond cond;
-    std::vector<SymIo> ioLog;
-    SymValuePtr resultValue;
+    std::vector<SymIo> io;
+    uint64_t ioOrdinal = 0;
+    std::string cutWhy;
 };
 
 SymEval::SymEval(const Program &program, SymEvalConfig cfg)

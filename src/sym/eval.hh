@@ -2,18 +2,18 @@
  * @file
  * The symbolic evaluator over decoded Zarf images: one run executes
  * one *path* of the program under a decision script, producing the
- * path condition, the symbolic result, the symbolic I/O log, and a
- * λ-cycle upper bound for that path (docs/SYMBOLIC.md).
+ * path condition, the symbolic result, the symbolic I/O log, and
+ * the path's exact λ-cycle count (docs/SYMBOLIC.md).
  *
- * Structure mirrors the lazy small-step reference (sem/smallstep.cc)
- * state for state — same heap node shapes, same continuation frames,
- * same update-collapsing, same error-latching rules — except that a
- * runtime word may be a symbolic *term* (sym/term.hh) instead of a
- * concrete integer. Wherever a term's concrete value would steer
+ * The evaluator is the IR evaluator core (ir/core.hh) over a
+ * symbolic domain: the program is lifted once, and the core runs it
+ * with the concrete evaluator's heap, frames, update collapsing, and
+ * error-latching rules, except that a runtime integer is a symbolic
+ * *term* (sym/term.hh). Wherever a term's concrete value would steer
  * control, the evaluator reaches a **choice point**:
  *
  *   - case dispatch on a symbolic integer scrutinee: one alternative
- *     per literal branch (plus else), each contributing ==/!= atoms;
+ *     per pattern (plus else), each contributing ==/!= atoms;
  *   - div/mod with a symbolic divisor: the non-zero continuation or
  *     the Error(kErrDivZero) continuation;
  *   - getint with a symbolic port: a single forced alternative that
@@ -28,14 +28,13 @@
  * consistent, which is exactly what the explorer (sym/explore.hh)
  * needs to schedule the remaining paths.
  *
- * Cycle accounting: every mirrored action charges at least what the
- * cycle-level machine charges for the same action under the shared
- * TimingModel, plus a small per-step pad, so the per-path bound
- * dominates the concrete machine's cycles() (load cycles are added
- * by the explorer; GC is excluded on both sides — machine cycles()
- * is load + execution, with collection accounted separately). The
- * concolic harness (sym/concolic.hh) enforces dominance on every
- * replayed path.
+ * Cycle accounting: the core charges the machine's exact λ-cycle
+ * ledger under the default TimingModel, so a complete path's cycle
+ * count equals Machine::cycles() of any image that follows the path,
+ * minus the load term (added by the consumer; GC is excluded on both
+ * sides — machine cycles() is load + execution, with collection
+ * accounted separately). The concolic harness (sym/concolic.hh)
+ * checks that equality on every replayed path.
  */
 
 #ifndef ZARF_SYM_EVAL_HH
@@ -46,7 +45,6 @@
 #include <vector>
 
 #include "isa/ast.hh"
-#include "machine/timing.hh"
 #include "sem/value.hh"
 #include "sym/solver.hh"
 #include "sym/term.hh"
@@ -116,7 +114,9 @@ struct PathRun
     SymValuePtr value;
     /** Symbolic I/O log, in issue order. */
     std::vector<SymIo> io;
-    /** Execution-cycle upper bound for this path (load excluded). */
+    /** The path's λ-cycles, load excluded: Machine::cycles() of an
+     *  image that follows the path, minus its load cycles (partial
+     *  when the path is truncated). */
     Cycles cycleBound = 0;
     /** Full choice trace, including the scripted prefix. */
     std::vector<ChoiceRec> choices;
@@ -130,25 +130,22 @@ struct PathRun
 /** Evaluator sizing. */
 struct SymEvalConfig
 {
-    /** Micro-step fuel per path (mirrors SmallStepConfig). */
+    /** Evaluator-core steps per path; a path beyond this truncates. */
     uint64_t maxSteps = 200'000;
     /** Choice points per path; a fork beyond this truncates. */
     unsigned maxChoices = 24;
     /** Symbolic input sites claimed from the entry function. */
     unsigned maxVars = 8;
-    TimingModel timing{};
-    /** Extra cycles charged per micro-step on top of the mirrored
-     *  action charges — slack so the bound stays an upper bound. */
-    Cycles padPerStep = 4;
 };
 
 /**
  * Enumerate the symbolic input sites of a program: the immediate
- * operands of the entry function's body, in deterministic pre-order
- * (let: arguments then body; case: scrutinee, branch bodies in
- * order, else; result: value), capped at maxVars. The same walk
- * concretizes models back into images, so evaluator and patcher
- * cannot disagree about which site is which variable.
+ * operands of the entry function's body, in the canonical site order
+ * (isa/sites.hh: let: arguments then body; case: scrutinee, branch
+ * bodies in order, else; result: value), capped at maxVars. Site k
+ * is the lifted module's entry site k (ir::Module::entrySites), which
+ * the evaluator reads as variable k, so evaluator and patcher cannot
+ * disagree about which site is which variable.
  *
  * @return one mutable operand pointer per symbolic variable, in
  *         variable order; pointers alias into `program`
@@ -157,7 +154,7 @@ std::vector<Operand *> collectSymSites(Program &program,
                                        unsigned maxVars);
 
 /**
- * The evaluator. Owns a clone of the program; one instance runs any
+ * The evaluator. Lifts the program once; one instance runs any
  * number of paths over it (runPath resets all per-path state).
  */
 class SymEval

@@ -260,13 +260,18 @@ TEST(SiteWalk, CanonicalWalkMatchesLegacyOrderEverywhere)
         ASSERT_EQ(legacy, sites) << "seed " << seed;
         programsWithSites += !sites.empty();
 
-        // And the lifter's value-level view is the same list.
+        // And the lifter's site table names the same list: entry
+        // site k is the IR operand holding legacy site k's value.
         ir::LiftResult lift = ir::liftProgram(p);
         ASSERT_TRUE(lift.ok);
-        ASSERT_EQ(lift.module.entryImmValues.size(), legacy.size());
-        for (size_t i = 0; i < legacy.size(); ++i)
-            EXPECT_EQ(lift.module.entryImmValues[i], legacy[i]->val)
+        const ir::Module &m = lift.module;
+        ASSERT_EQ(m.entrySites.size(), legacy.size());
+        for (size_t i = 0; i < legacy.size(); ++i) {
+            const Operand &op = m.operands[m.entrySites[i]];
+            EXPECT_EQ(op.src, Src::Imm);
+            EXPECT_EQ(op.val, legacy[i]->val)
                 << "seed " << seed << " site " << i;
+        }
     }
     EXPECT_GT(programsWithSites, 50u);
 }

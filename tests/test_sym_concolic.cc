@@ -6,10 +6,10 @@
  *  - property sweep: hundreds of generated programs, every feasible
  *    symbolic path concretized and replayed through the differential
  *    oracle with zero divergences — outcome class, result value, I/O
- *    log, and cycle-bound dominance all checked per path;
- *  - WCET: on every replayed path the symbolic bound dominates the
- *    concrete machine cycles, and complete per-program bounds
- *    dominate the maximum observed concrete run;
+ *    log, and exact cycles all checked per path;
+ *  - cycles and WCET: on every replayed path the predicted cycles
+ *    equal the concrete machine cycles, and complete per-program
+ *    bounds dominate the maximum observed concrete run;
  *  - determinism: path enumeration and the full concolic report are
  *    bit-identical across repeated runs and across replay
  *    thread counts;
@@ -93,7 +93,8 @@ struct SweepOutcome
     bool usable = false;
     uint64_t replayed = 0;
     uint64_t diverged = 0;
-    uint64_t dominanceViolations = 0;
+    uint64_t cycleMismatches = 0;
+    uint64_t wcetViolations = 0;
     std::string firstDivergence;
 };
 
@@ -112,22 +113,23 @@ sweepOne(uint64_t seed)
             out.firstDivergence =
                 "seed " + std::to_string(seed) + ": " + pr.detail;
         if (pr.check == PathCheck::Replayed &&
-            pr.concreteCycles > pr.predictedCycles)
-            out.dominanceViolations++;
+            pr.concreteCycles != pr.predictedCycles)
+            out.cycleMismatches++;
     }
     // Complete program bounds dominate every replayed run.
     if (rep.wcetComplete) {
         for (const PathReport &pr : rep.paths) {
             if (pr.check == PathCheck::Replayed &&
                 pr.concreteCycles > rep.wcetBound)
-                out.dominanceViolations++;
+                out.wcetViolations++;
         }
     }
     return out;
 }
 
 /** The acceptance sweep: kSweepPrograms generated programs, every
- *  feasible path replayed, zero divergences, dominance everywhere.
+ *  feasible path replayed, zero divergences, exact cycles
+ *  everywhere.
  *  Fanned across hardware threads; per-program work is
  *  single-threaded so the verdicts are scheduling-independent. */
 TEST(SymConcolic, GeneratedProgramSweepHasZeroDivergences)
@@ -141,18 +143,21 @@ TEST(SymConcolic, GeneratedProgramSweepHasZeroDivergences)
             return sweepOne(uint64_t(shard) + 1);
         });
 
-    uint64_t usable = 0, replayed = 0, diverged = 0, dom = 0;
+    uint64_t usable = 0, replayed = 0, diverged = 0, mismatched = 0,
+             wcet = 0;
     std::string firstDiv;
     for (const SweepOutcome &o : outs) {
         usable += o.usable;
         replayed += o.replayed;
         diverged += o.diverged;
-        dom += o.dominanceViolations;
+        mismatched += o.cycleMismatches;
+        wcet += o.wcetViolations;
         if (firstDiv.empty())
             firstDiv = o.firstDivergence;
     }
     EXPECT_EQ(diverged, 0u) << firstDiv;
-    EXPECT_EQ(dom, 0u);
+    EXPECT_EQ(mismatched, 0u);
+    EXPECT_EQ(wcet, 0u);
     // The sweep must not be vacuous: most generated programs are
     // usable and most explored paths actually replay.
     EXPECT_GE(usable, kSweepPrograms / 2);
@@ -175,7 +180,7 @@ TEST(SymConcolic, CheckedInCorpusSweepsClean)
             << fingerprint(rep);
         for (const PathReport &pr : rep.paths) {
             if (pr.check == PathCheck::Replayed) {
-                EXPECT_LE(pr.concreteCycles, pr.predictedCycles);
+                EXPECT_EQ(pr.concreteCycles, pr.predictedCycles);
             }
         }
     }

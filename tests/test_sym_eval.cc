@@ -13,16 +13,24 @@
  *    here: every Sat model verifies, every Unsat claim has an exact
  *    proof (pin conflict, bijective-chain inversion, empty interval,
  *    out-of-domain pin);
- *  - the single-path symbolic evaluator agrees with the lazy
- *    small-step reference on concrete (variable-free) programs,
- *    including the error-latching and WHNF rules.
+ *  - the single-path symbolic evaluator follows the concrete
+ *    semantics on handcrafted shapes, including the error-latching
+ *    and WHNF rules;
+ *  - its per-path cycles are the machine's exact ledger: on every
+ *    explored path of those shapes, the path's cycles plus load equal
+ *    Machine::cycles() of the image concretized at the path's model,
+ *    and a seeded IR-core ledger defect breaks that equality.
  */
 
 #include <gtest/gtest.h>
 
+#include "fuzz/oracle.hh"
+#include "ir/testhooks.hh"
 #include "isa/binary.hh"
 #include "isa/builder.hh"
 #include "isa/encoding.hh"
+#include "machine/machine.hh"
+#include "sym/concolic.hh"
 #include "sym/eval.hh"
 #include "sym/solver.hh"
 #include "sym/term.hh"
@@ -436,6 +444,156 @@ TEST(SymEvalRules, SiteWalkIsDeterministicAndCapped)
     EXPECT_EQ(s1[2]->val, 3);
     EXPECT_EQ(s1[4]->val, 5);
     EXPECT_EQ(collectSymSites(p1, 2).size(), 2u);
+}
+
+// ---- exact cycles: every explored path against the machine ----
+
+/** Per-shape result of the cycle check. */
+struct CycleCheck
+{
+    size_t paths = 0;
+    size_t mismatches = 0;
+};
+
+/** Explore every path of `prog`, concretize each at its solved model,
+ *  run the image on the machine, and count the paths whose cycles
+ *  plus load differ from Machine::cycles(). Every path of the shapes
+ *  below is satisfiable and ends like the machine run. */
+CycleCheck
+checkCycles(const Program &prog)
+{
+    CycleCheck out;
+    SymEvalConfig cfg;
+    SymEval eval(prog, cfg);
+    ExploreResult ex = explorePaths(eval, {});
+    EXPECT_TRUE(ex.boundComplete);
+    for (const ExploredPath &p : ex.paths) {
+        SolveResult s = solveAtoms(eval.arena(), p.run.pc,
+                                   eval.numVars(), eval.seedAssign());
+        EXPECT_EQ(s.status, SolveStatus::Sat) << s.note;
+        if (s.status != SolveStatus::Sat)
+            continue;
+        Image img = concretizeImage(prog, s.model, cfg.maxVars);
+        fuzz::RecordBus bus;
+        Machine m(img, bus);
+        Machine::Outcome o = m.run();
+        EXPECT_EQ(p.run.status == PathRun::Status::Done,
+                  o.status == MachineStatus::Done)
+            << p.run.detail;
+        Cycles predicted =
+            p.run.cycleBound + Cycles(img.size()) * TimingModel{}.loadWord;
+        out.paths++;
+        out.mismatches += predicted != m.cycles();
+    }
+    return out;
+}
+
+/** The handcrafted shapes, each with its number of explored paths. */
+std::vector<std::pair<Program, size_t>>
+cycleShapes()
+{
+    std::vector<std::pair<Program, size_t>> shapes;
+    // A constant result.
+    shapes.emplace_back(progResultImm(42), 1);
+    {
+        // A symbolic divisor: the non-zero arm and the error arm.
+        ProgramBuilder pb;
+        pb.fn("main", {},
+              nLet("d", "div", { nImm(100), nImm(4) }, nRet(nVar("d"))));
+        shapes.emplace_back(pb.build(), 2);
+    }
+    {
+        // A symbolic case: each literal arm, and the else arm behind
+        // a constructor pattern (whose slot is never viable).
+        ProgramBuilder pb;
+        pb.cons("Box", 1);
+        pb.fn("main", {},
+              nCase(nImm(1),
+                    { litBranch(1, nRet(nImm(10))),
+                      litBranch(2, nRet(nImm(20))),
+                      consBranch("Box", { "v" }, nRet(nVar("v"))) },
+                    nRet(nImm(30))));
+        shapes.emplace_back(pb.build(), 3);
+    }
+    {
+        // Extending a partial application, then casing on the sum.
+        ProgramBuilder pb;
+        pb.fn("main", {},
+              nLet("f", "add", { nImm(1) },
+                   nLet("g", "f", { nImm(2) },
+                        nCase(nVar("g"),
+                              { litBranch(3, nRet(nImm(7))) },
+                              nRet(nImm(9))))));
+        shapes.emplace_back(pb.build(), 2);
+    }
+    {
+        // Over-application: mkadd takes one argument and returns a
+        // partial add, which the leftover argument saturates.
+        ProgramBuilder pb;
+        pb.fn("main", {},
+              nLet("r", "mkadd", { nImm(1), nImm(2) }, nRet(nVar("r"))));
+        pb.fn("mkadd", { "x" },
+              nLet("f", "add", { nVar("x") }, nRet(nVar("f"))));
+        shapes.emplace_back(pb.build(), 1);
+    }
+    {
+        // An Error operand passing through a primitive: on the zero
+        // arm of the divisor fork, add receives Error(kErrDivZero).
+        ProgramBuilder pb;
+        pb.fn("main", {},
+              nLet("e", "div", { nImm(1), nImm(0) },
+                   nLet("s", "add", { nVar("e"), nImm(5) },
+                        nRet(nVar("s")))));
+        shapes.emplace_back(pb.build(), 2);
+    }
+    {
+        // getint on a symbolic port, pinned to its seed; the read
+        // value goes out through putint.
+        ProgramBuilder pb;
+        pb.fn("main", {},
+              nLet("x", "getint", { nImm(3) },
+                   nLet("y", "putint", { nImm(4), nVar("x") },
+                        nRet(nVar("y")))));
+        shapes.emplace_back(pb.build(), 1);
+    }
+    {
+        // gc: collection is off the cycles() ledger on both sides.
+        ProgramBuilder pb;
+        pb.fn("main", {},
+              nLet("g", "gc", { nImm(5) }, nRet(nVar("g"))));
+        shapes.emplace_back(pb.build(), 1);
+    }
+    return shapes;
+}
+
+TEST(SymEvalCycles, EveryPathMatchesMachineCyclesExactly)
+{
+    std::vector<std::pair<Program, size_t>> shapes = cycleShapes();
+    for (size_t i = 0; i < shapes.size(); ++i) {
+        CycleCheck c = checkCycles(shapes[i].first);
+        EXPECT_EQ(c.paths, shapes[i].second) << "shape " << i;
+        EXPECT_EQ(c.mismatches, 0u) << "shape " << i;
+    }
+}
+
+/** Scoped IR-core ledger defect (ir/testhooks.hh). */
+struct BrokenAllocGuard
+{
+    BrokenAllocGuard() { ir::testhooks::irBrokenAllocCharge = true; }
+    ~BrokenAllocGuard() { ir::testhooks::irBrokenAllocCharge = false; }
+};
+
+TEST(SymEvalCycles, IrCoreLedgerDefectBreaksExactness)
+{
+    // The symbolic paths are priced by the IR core: dropping its
+    // per-word allocation charge must break the equality on a shape
+    // that allocates (every shape does: the boot application).
+    Program shape = cycleShapes()[3].first.clone();
+    ASSERT_EQ(checkCycles(shape).mismatches, 0u);
+    BrokenAllocGuard guard;
+    CycleCheck c = checkCycles(shape);
+    ASSERT_GT(c.paths, 0u);
+    EXPECT_EQ(c.mismatches, c.paths);
 }
 
 } // namespace
