@@ -67,16 +67,18 @@ enum class DispatchTier : uint8_t
      *  handler. Bit-identical to the µop tier in results, cycles,
      *  statistics, and traces. */
     Threaded,
-    /** Threaded dispatch with the cycle/FSM accounting and trace
-     *  hooks compiled out, plus outcome-preserving superinstruction
-     *  fusion. Only results, IO, and the final heap-observable
-     *  value are meaningful; cycles() counts fused *steps* (after
-     *  the still-modelled load), the per-instruction execution
-     *  cycle fields of stats() stop accumulating while the
-     *  instruction, allocation, and call counters stay exact (load
-     *  and GC accounting is shared machinery and still charged),
-     *  and the per-µop trace and FSM-tally hooks emit nothing. For campaign and fuzz
-     *  workloads only — never for timing. */
+    /** The Threaded tier's core without the cycle model: the same
+     *  steps in the same order, with the cycle charges, the FSM
+     *  tally, the per-µop trace events, and the interval-GC trigger
+     *  (gcIntervalCycles) compiled out. cycles() counts *steps*
+     *  (after the still-modelled load), and the per-instruction-
+     *  class cycle fields and execCycles of stats() stop
+     *  accumulating; every other statistic (instruction,
+     *  allocation, force, update, call, and GC counters,
+     *  loadCycles, gcCycles) equals the µop run's when no GC
+     *  interval is set, and lifecycle and GC events are still
+     *  traced. For campaign and fuzz workloads only — never for
+     *  timing. */
     FastFunctional,
 };
 
@@ -130,7 +132,7 @@ struct MachineConfig
      *  reaches identically — latching MachineStatus::BudgetExceeded
      *  on a trip. λ-cycle and heap trips land on the same cycle for
      *  every cycle-accurate tier; the fast-functional tier checks
-     *  its own fused-step clock. Null = unlimited (the default; the
+     *  its own step clock. Null = unlimited (the default; the
      *  hot path pays nothing). Not owned; must outlive the machine
      *  and may be cancelled from any thread. */
     verify::Budget *budget = nullptr;

@@ -4,11 +4,12 @@
  * translation units that define its execution tiers.
  *
  * machine.cc owns the word-walking reference path and the central-
- * switch µop path; threaded.cc owns the direct-threaded and
- * fast-functional tiers, which are additional member functions of
- * the same Impl over the same architectural state. This header is
- * internal to src/machine — nothing outside the library may include
- * it; the public surface is machine/machine.hh.
+ * switch µop path; threaded.cc owns the direct-threaded core, one
+ * member function template of the same Impl over the same
+ * architectural state that runs the threaded and fast-functional
+ * tiers. This header is internal to src/machine — nothing outside
+ * the library may include it; the public surface is
+ * machine/machine.hh.
  */
 
 #ifndef ZARF_MACHINE_MACHINE_IMPL_HH
@@ -50,9 +51,10 @@ namespace zarf
  *    the new hot paths against the unmodified seed semantics *and*
  *    so the throughput benchmark measures the real cost delta.
  *
- *  - The direct-threaded tier and the fast-functional tier, defined
- *    in machine/threaded.cc as further member functions over the
- *    same architectural state (which is why this class lives in a
+ *  - The direct-threaded tier and the fast-functional tier: the
+ *    threaded core of machine/threaded.cc with and without the
+ *    cycle model, a further member function over the same
+ *    architectural state (which is why this class lives in a
  *    shared internal header).
  *
  * All cycle-accurate tiers share load(), the heap, the timing model,
@@ -129,10 +131,10 @@ class Machine::Impl
                 stepOnceRef();
             break;
           case DispatchTier::Threaded:
-            advanceThreaded(target);
+            advanceThreaded<true>(target);
             break;
           case DispatchTier::FastFunctional:
-            advanceFast(target);
+            advanceThreaded<false>(target);
             break;
         }
     }
@@ -1275,14 +1277,13 @@ class Machine::Impl
     }
 
     // ============================================================
-    // Threaded tiers (machine/threaded.cc): direct-threaded
-    // dispatch over the µop streams. advanceThreaded is
-    // cycle-accurate and bit-identical to the µop tier;
-    // advanceFast is the fast-functional mode (outcome/IO only).
+    // The threaded core (machine/threaded.cc): direct-threaded
+    // dispatch over the µop streams. With the cycle model it is
+    // the Threaded tier, bit-identical to the µop tier; without it,
+    // the FastFunctional tier, the same steps on a step clock.
     // ============================================================
 
-    void advanceThreaded(Cycles target);
-    void advanceFast(Cycles target);
+    template <bool kCycleModel> void advanceThreaded(Cycles target);
 
     Heap::RootProvider
     rootProviderU()
@@ -2128,9 +2129,6 @@ class Machine::Impl
     std::vector<Word> letScratch;
     std::vector<Word> applyScratch;
     std::vector<Word> appvScratch;
-    /** Fast-functional tier: operand buffer of the fused all-int
-     *  primitive path (threaded.cc). Holds integers, never refs. */
-    std::vector<SWord> fastAluScratch;
 };
 
 /**

@@ -78,7 +78,7 @@ budgetTripTransient(BudgetTrip t)
 struct BudgetSpec
 {
     /** Total simulated λ cycles (the machine clock: load +
-     *  execution; fused steps on the fast-functional tier). */
+     *  execution; load + steps on the fast-functional tier). */
     Cycles maxLambdaCycles = 0;
     /** Host wall-clock milliseconds from the Budget's construction
      *  (or the last armHostDeadline()). */

@@ -231,7 +231,7 @@ TEST(MachineBudget, CycleTripIsTierInvariant)
                       std::string::npos);
         }
 
-        // The fast-functional tier has its own (fused-step) clock;
+        // The fast-functional tier has its own (step) clock;
         // halve *its* total so the trip lands mid-run there too.
         Budget ffProbeBud; // unlimited, just to exercise the path
         NullBus ffbus;
