@@ -1,18 +1,19 @@
 /**
  * @file
  * Host-side throughput of the λ-machine simulator: simulated cycles
- * and dynamic instructions retired per host second, across the full
- * dispatch-tier ladder (docs/PERF.md) — word-walk, predecoded µop,
- * direct-threaded, and fast-functional. This tracks simulator
- * performance only — the three cycle-accurate tiers execute the
- * same modelled hardware cycle for cycle, which bench_sec6_cpi and
- * the differential suite check; here we measure how fast the host
- * gets through them. The fast-functional tier drops the cycle model
- * entirely, so tiers are compared on dynamic instructions retired
- * per host second, a tier-invariant measure of program progress.
+ * and dynamic instructions retired per host second, across the
+ * dispatch-tier ladder (docs/PERF.md) — word-walk, the µop core, and
+ * the µop core without the cycle model (fast-functional). This
+ * tracks simulator performance only — the two cycle-accurate tiers
+ * execute the same modelled hardware cycle for cycle, which
+ * bench_sec6_cpi and the differential suite check; here we measure
+ * how fast the host gets through them. The fast-functional tier
+ * drops the cycle model entirely, so tiers are compared on dynamic
+ * instructions retired per host second, a tier-invariant measure of
+ * program progress.
  *
  * Timing covers execution only: machine construction — semispace
- * zeroing, image load, and (on the µop-walking tiers) predecoding —
+ * zeroing, image load, and (on the µop-core tiers) predecoding —
  * happens outside the timed region. Predecode is a once-per-load
  * cost paid to make every subsequent step cheaper, the same trade
  * the paper's hardware makes by latching decoded declaration
@@ -329,10 +330,9 @@ main(int argc, char **argv)
     static const DispatchTier kTiers[] = {
         DispatchTier::WordWalk,
         DispatchTier::Uop,
-        DispatchTier::Threaded,
         DispatchTier::FastFunctional,
     };
-    constexpr size_t kNumTiers = 4;
+    constexpr size_t kNumTiers = 3;
 
     std::printf("=== host throughput: the dispatch-tier ladder%s "
                 "===\n\n",
@@ -341,7 +341,7 @@ main(int argc, char **argv)
                 "tier", "host s", "Mcycles/s", "Minstr/s");
 
     std::vector<Row> rows;
-    double logUop = 0, logThreaded = 0, logFast = 0;
+    double logUop = 0, logFast = 0;
     for (const Workload &w : workloads) {
         for (DispatchTier tier : kTiers) {
             MachineConfig cfg;
@@ -357,27 +357,24 @@ main(int argc, char **argv)
                         row.instrsPerSec() / 1e6);
             rows.push_back(std::move(row));
         }
-        // Per-workload speedups, all relative to the adjacent rung
-        // below on the ladder's instrs/s (a tier-invariant measure
-        // of program progress).
+        // Per-workload speedups over the µop rung's neighbours, on
+        // the ladder's instrs/s (a tier-invariant measure of program
+        // progress).
         const Row *base = &rows[rows.size() - kNumTiers];
         double sUop = base[1].instrsPerSec() / base[0].instrsPerSec();
-        double sThr = base[2].instrsPerSec() / base[1].instrsPerSec();
         double sFast =
-            base[3].instrsPerSec() / base[1].instrsPerSec();
+            base[2].instrsPerSec() / base[1].instrsPerSec();
         logUop += std::log(sUop);
-        logThreaded += std::log(sThr);
         logFast += std::log(sFast);
         std::printf("  %-12s uop-vs-word-walk %.2fx, "
-                    "threaded-vs-uop %.2fx, fast-vs-uop %.2fx\n\n",
-                    w.name.c_str(), sUop, sThr, sFast);
+                    "fast-vs-uop %.2fx\n\n",
+                    w.name.c_str(), sUop, sFast);
     }
     double geomeanUop = std::exp(logUop / workloads.size());
-    double geomeanThreaded = std::exp(logThreaded / workloads.size());
     double geomeanFast = std::exp(logFast / workloads.size());
     std::printf("  geomean speedups: uop-vs-word-walk %.2fx, "
-                "threaded-vs-uop %.2fx, fast-vs-uop %.2fx\n\n",
-                geomeanUop, geomeanThreaded, geomeanFast);
+                "fast-vs-uop %.2fx\n\n",
+                geomeanUop, geomeanFast);
 
     // Machine-readable results for trend tracking, in the working
     // directory (CI runs this from the repo root and archives them
@@ -405,9 +402,8 @@ main(int argc, char **argv)
     }
     std::fprintf(f,
                  "  ],\n  \"geomean_speedup\": %.3f,\n"
-                 "  \"geomean_threaded_vs_uop\": %.3f,\n"
                  "  \"geomean_fast_vs_uop\": %.3f\n}\n",
-                 geomeanUop, geomeanThreaded, geomeanFast);
+                 geomeanUop, geomeanFast);
     std::fclose(f);
     std::printf("wrote %s\n", outPath.c_str());
     return 0;

@@ -88,7 +88,6 @@ goldenRun(const Image &image, const mblaze::MbProgram &monitor,
     auto heart = makeHeart(vtFlavor);
     sys::SystemConfig scfg;
     scfg.fallbackProgram = fallback;
-    scfg.lambdaTier = ccfg.lambdaTier;
     sys::TwoLayerSystem system(image, monitor, *heart, scfg);
     double seconds = vtFlavor ? ccfg.vtSeconds : ccfg.sinusSeconds;
     system.runForMs(seconds * 1000.0);
@@ -223,7 +222,6 @@ runScenario(const Image &image,
 
     sys::SystemConfig scfg;
     scfg.fallbackProgram = fallback;
-    scfg.lambdaTier = ccfg.lambdaTier;
     scfg.faultPlan = std::move(plan);
     scfg.budget = budget;
     double seconds = r.vtFlavor ? ccfg.vtSeconds : ccfg.sinusSeconds;

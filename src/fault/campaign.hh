@@ -33,7 +33,6 @@
 #include <vector>
 
 #include "fault/plan.hh"
-#include "machine/machine.hh"
 #include "verify/budget.hh"
 #include "verify/supervise.hh"
 
@@ -106,13 +105,6 @@ struct CampaignConfig
      *  report is a function of (scenarios, seedBase, seconds) only,
      *  whatever strategy produced it. */
     LoadStrategy strategy = LoadStrategy::Fork;
-    /** λ-machine dispatch tier for the systems the campaign builds.
-     *  Like the strategy, never part of the report: the
-     *  cycle-accurate tiers are bit-identical, so the verdicts —
-     *  and the JSON — must not depend on this knob (the threaded
-     *  tier just sweeps faster). FastFunctional is rejected by the
-     *  co-simulation (it has no λ cycle clock to schedule by). */
-    DispatchTier lambdaTier = DispatchTier::Uop;
 
     // ---- Resilience (docs/RESILIENCE.md, "Harness resilience") ----
 

@@ -129,7 +129,7 @@ runOracle(const Image &image, const OracleConfig &cfg)
 {
     OracleResult r;
 
-    // µop-path machine: the instrumented run coverage comes from.
+    // µop-core machine: the instrumented run coverage comes from.
     obs::Recorder uopTrace(
         { 1u << 14, static_cast<uint32_t>(obs::Cat::MachineExec) |
                         static_cast<uint32_t>(obs::Cat::MachineGc) });
@@ -161,7 +161,9 @@ runOracle(const Image &image, const OracleConfig &cfg)
     Machine ref(image, refBus, rc);
     Machine::Outcome refOut = ref.run(cfg.maxCycles);
 
-    // The threaded and fast-functional tiers run even on images the
+    // The threaded leg re-runs the µop core untraced (Threaded names
+    // the same core), so it checks that tracing does not change a
+    // run. It and the fast-functional tier run even on images the
     // oracle later classifies Rejected: like the two machines above,
     // the assertion there is "no crash, no UB" under the sanitizer
     // presets. Their comparisons happen after the rejection gates.
@@ -214,9 +216,9 @@ runOracle(const Image &image, const OracleConfig &cfg)
         return r;
     }
 
-    // Cycle-accurate tiers vs the µop run: bit-exact on everything
-    // observable (status, diagnostic, total cycles, value, the full
-    // statistics block, the I/O log).
+    // The word-walking reference and the untraced re-run vs the µop
+    // run: bit-exact on everything observable (status, diagnostic,
+    // total cycles, value, the full statistics block, the I/O log).
     auto machineDiffVs = [&](Machine &m, const Machine::Outcome &out,
                              RecordBus &bus) -> std::string {
         if (uopOut.status != out.status)
@@ -299,11 +301,8 @@ runOracle(const Image &image, const OracleConfig &cfg)
         return r;
     }
 
-    // The lazy reference semantics.
-    RecordBus semBus;
-    SmallStep sem(dec.program, semBus, { cfg.semSteps });
-    RunResult semOut = sem.runMain();
-
+    // Machine resource bounds decide Skip whatever the small-step
+    // reference returns, so check them before running it.
     if (uopOut.status == MachineStatus::Running) {
         r.verdict = Verdict::Skip;
         r.detail = "machine cycle budget exhausted";
@@ -314,6 +313,11 @@ runOracle(const Image &image, const OracleConfig &cfg)
         r.detail = "machine out of memory";
         return r;
     }
+
+    // The lazy reference semantics.
+    RecordBus semBus;
+    SmallStep sem(dec.program, semBus, { cfg.semSteps });
+    RunResult semOut = sem.runMain();
     if (semOut.status == RunResult::Status::OutOfFuel) {
         r.verdict = Verdict::Skip;
         r.detail = "small-step fuel exhausted";

@@ -3,15 +3,15 @@
  * The differential conformance oracle: one candidate image, every
  * evaluator, one verdict.
  *
- * A candidate binary image is run through the six Zarf evaluators —
- * the eager big-step reference (sem/bigstep.hh), the lazy small-step
- * reference (sem/smallstep.hh), and the cycle-level machine on every
- * rung of its dispatch-tier ladder: walking raw image words,
- * executing predecoded µop streams, direct-threaded dispatch, and
- * the fast-functional mode (machine/threaded.cc) — plus a
- * snapshot/restore replay of the machine mid-run. The verdict says
- * whether the implementations agree under the documented equivalence
- * map below.
+ * A candidate binary image is run through the Zarf evaluators — the
+ * eager big-step reference (sem/bigstep.hh), the lazy small-step
+ * reference (sem/smallstep.hh), the lifted-IR evaluator, and the
+ * cycle-level machine on every rung of its dispatch-tier ladder:
+ * walking raw image words and the µop core (machine/threaded.cc),
+ * with and without the cycle model — plus an untraced re-run of the
+ * µop core and a snapshot/restore replay of the machine mid-run. The
+ * verdict says whether the implementations agree under the
+ * documented equivalence map below.
  *
  * Equivalence map (what may legitimately differ, and why):
  *
@@ -26,11 +26,14 @@
  *    not a divergence — it is the documented load-time/run-time
  *    strictness difference, and the other engines' behavior on such
  *    images is not compared.
- *  - On every decode-accepted, predecode-accepted image the three
- *    cycle-accurate machine tiers (word-walk, µop, threaded) must
- *    agree *bit-exactly*: status, diagnostic, value, total cycles,
- *    the complete statistics block, and the I/O log. Anything less
- *    is a `Divergence`.
+ *  - On every decode-accepted, predecode-accepted image the two
+ *    cycle-accurate machine implementations (word-walk and the µop
+ *    core) must agree *bit-exactly*: status, diagnostic, value,
+ *    total cycles, the complete statistics block, and the I/O log.
+ *    Anything less is a `Divergence`. The threaded leg
+ *    (`compareThreaded`) re-runs the µop core untraced — Threaded
+ *    names the same core — and is held to the same bit-exactness,
+ *    which checks that tracing does not change a run.
  *  - The fast-functional tier abandons the cycle model, so it is
  *    held to *outcome* equality with the µop run — status,
  *    diagnostic, value, and the I/O log — and only when both runs
@@ -115,7 +118,8 @@ struct OracleConfig
     uint64_t bigSteps = 500'000;
     /** Compare the eager reference where the map allows it. */
     bool compareBigStep = true;
-    /** Run and bit-compare the direct-threaded tier. */
+    /** Re-run the µop core untraced (DispatchTier::Threaded) and
+     *  bit-compare it with the traced run. */
     bool compareThreaded = true;
     /** Run and outcome-compare the fast-functional tier. */
     bool compareFast = true;

@@ -1,3 +1,11 @@
+/**
+ * @file
+ * The public Machine wrappers over Machine::Impl, tier and status
+ * names, and snapshot capture and restore. The execution tiers live
+ * in machine_impl.hh (the word-walking reference path) and
+ * threaded.cc (the µop core, with and without the cycle model).
+ */
+
 #include "machine/machine_impl.hh"
 
 namespace zarf
@@ -81,12 +89,10 @@ Machine::Impl::restoreFrom(const MachineSnapshot &s)
               "words)",
               s.semispaceWords, cfg.semispaceWords);
     }
-    // Tiers restore within a state family: the µop-walking
-    // cycle-accurate tiers {Uop, Threaded} keep bit-identical
-    // architectural state and ledgers, so their snapshots are
-    // interchangeable; WordWalk keeps its frames elsewhere and
-    // FastFunctional counts steps instead of cycles, so each only
-    // restores within its own tier.
+    // Tiers restore within a state family: Uop and Threaded name
+    // one core, so their snapshots are interchangeable; WordWalk
+    // keeps its frames elsewhere and FastFunctional counts steps
+    // instead of cycles, so each only restores within its own tier.
     auto family = [](DispatchTier t) {
         switch (t) {
           case DispatchTier::WordWalk:

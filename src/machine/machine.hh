@@ -49,8 +49,8 @@ class MachineSnapshot;
 /**
  * How the host finds the next control-FSM state to visit — the
  * dispatch-tier ladder (docs/PERF.md, "The dispatch-tier ladder").
- * None of the cycle-accurate tiers changes a modelled cycle; the
- * fast-functional tier abandons the cycle model entirely.
+ * Neither cycle-accurate implementation changes a modelled cycle;
+ * the fast-functional tier abandons the cycle model entirely.
  */
 enum class DispatchTier : uint8_t
 {
@@ -58,25 +58,25 @@ enum class DispatchTier : uint8_t
      *  original reference machine, kept verbatim as the differential
      *  baseline. Cycle-accurate. */
     WordWalk,
-    /** Walk predecoded µop streams through a central switch on the
-     *  pooled hot path (PR 1). Cycle-accurate; the default. */
+    /** The µop core (machine/threaded.cc): direct-threaded dispatch
+     *  over predecoded µop streams on the pooled hot path, each
+     *  µop's handler resolved once at predecode time into a
+     *  dispatch token. Cycle-accurate; the default. */
     Uop,
-    /** Direct-threaded dispatch over the same µop streams: each
-     *  µop's handler is resolved once at predecode time into a
-     *  dispatch token, and handlers jump straight to the next
-     *  handler. Bit-identical to the µop tier in results, cycles,
-     *  statistics, and traces. */
+    /** A second name for the Uop tier: the same core, so results,
+     *  cycles, statistics, traces, and snapshots are the Uop tier's
+     *  by construction. Kept for the callers that still select it. */
     Threaded,
-    /** The Threaded tier's core without the cycle model: the same
-     *  steps in the same order, with the cycle charges, the FSM
-     *  tally, the per-µop trace events, and the interval-GC trigger
+    /** The µop core without the cycle model: the same steps in the
+     *  same order, with the cycle charges, the FSM tally, the
+     *  per-µop trace events, and the interval-GC trigger
      *  (gcIntervalCycles) compiled out. cycles() counts *steps*
      *  (after the still-modelled load), and the per-instruction-
      *  class cycle fields and execCycles of stats() stop
-     *  accumulating; every other statistic (instruction,
-     *  allocation, force, update, call, and GC counters,
-     *  loadCycles, gcCycles) equals the µop run's when no GC
-     *  interval is set, and lifecycle and GC events are still
+     *  accumulating, export included; every other statistic
+     *  (instruction, allocation, force, update, call, and GC
+     *  counters, loadCycles, gcCycles) equals the µop run's when no
+     *  GC interval is set, and lifecycle and GC events are still
      *  traced. For campaign and fuzz workloads only — never for
      *  timing. */
     FastFunctional,
@@ -113,8 +113,9 @@ struct MachineConfig
     /** Collect every N cycles (0 disables) — the paper's
      *  "configured to run at specific intervals" policy. */
     Cycles gcIntervalCycles = 0;
-    /** Host dispatch tier (see DispatchTier). Cycle-accurate tiers
-     *  are bit-identical to each other on every well-formed image. */
+    /** Host dispatch tier (see DispatchTier). The cycle-accurate
+     *  tiers are bit-identical to each other on every well-formed
+     *  image. */
     DispatchTier tier = DispatchTier::Uop;
     /** Event sink for lifecycle/exec/GC events (null = tracing off;
      *  docs/OBSERVABILITY.md). Not owned; must outlive the machine. */
@@ -201,7 +202,7 @@ class Machine
 
     /** Adopt a state captured by snapshot(). The receiver must have
      *  the same semispace size, a state-compatible dispatch tier
-     *  (the µop-walking cycle-accurate tiers {Uop, Threaded} are
+     *  (Uop and Threaded, two names for one core, are
      *  interchangeable; WordWalk and FastFunctional only restore
      *  within their own tier), and the same image as the snapshot's
      *  source (fatal otherwise). */

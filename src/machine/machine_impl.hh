@@ -3,13 +3,13 @@
  * The private implementation of the λ-machine, shared between the
  * translation units that define its execution tiers.
  *
- * machine.cc owns the word-walking reference path and the central-
- * switch µop path; threaded.cc owns the direct-threaded core, one
- * member function template of the same Impl over the same
- * architectural state that runs the threaded and fast-functional
- * tiers. This header is internal to src/machine — nothing outside
- * the library may include it; the public surface is
- * machine/machine.hh.
+ * This header holds the word-walking reference path; threaded.cc
+ * holds the µop core, one member function template of the same Impl
+ * over the same architectural state that runs the µop tier (with the
+ * cycle model) and the fast-functional tier (without it); machine.cc
+ * holds the public wrappers and snapshots. This header is internal
+ * to src/machine — nothing outside the library may include it; the
+ * public surface is machine/machine.hh.
  */
 
 #ifndef ZARF_MACHINE_MACHINE_IMPL_HH
@@ -19,6 +19,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 #include <map>
 #include <optional>
 
@@ -36,30 +37,31 @@ namespace zarf
 {
 
 /**
- * The implementation carries the four execution tiers selected by
+ * The implementation carries the execution tiers selected by
  * MachineConfig::tier (see DispatchTier in machine/machine.hh):
  *
- *  - The µop tier (the default): walks the predecoded streams of
- *    machine/predecode.hh through a central switch on a pooled hot
- *    path — a free-list continuation-frame stack, reused scratch
- *    buffers, span-based heap allocation, and an identifier-metadata
- *    table built once at load.
+ *  - The µop core (the default Uop tier, also named Threaded): the
+ *    direct-threaded core of machine/threaded.cc with the cycle
+ *    model, walking the predecoded streams of machine/predecode.hh
+ *    on a pooled hot path — a free-list continuation-frame stack,
+ *    reused scratch buffers, span-based heap allocation, and an
+ *    identifier-metadata table built once at load. It is a member
+ *    function over this class's state, which is why the class lives
+ *    in a shared internal header.
+ *
+ *  - The fast-functional tier: the same core without the cycle
+ *    model.
  *
  *  - The reference tier: the original word-walking machine, kept
  *    deliberately untouched (per-step vector construction, linear
  *    primById lookups and all) so that differential tests compare
- *    the new hot paths against the unmodified seed semantics *and*
- *    so the throughput benchmark measures the real cost delta.
+ *    the µop core against the unmodified seed semantics *and* so
+ *    the throughput benchmark measures the real cost delta.
  *
- *  - The direct-threaded tier and the fast-functional tier: the
- *    threaded core of machine/threaded.cc with and without the
- *    cycle model, a further member function over the same
- *    architectural state (which is why this class lives in a
- *    shared internal header).
- *
- * All cycle-accurate tiers share load(), the heap, the timing model,
- * and the cycle/statistics accounting, and are bit-identical in
- * results, cycle counts, and statistics on every well-formed image.
+ * Both cycle-accurate implementations share load(), the heap, the
+ * timing model, and the cycle/statistics accounting, and are
+ * bit-identical in results, cycle counts, and statistics on every
+ * well-formed image.
  */
 class Machine::Impl
 {
@@ -122,14 +124,17 @@ class Machine::Impl
     advanceTo(Cycles target)
     {
         switch (cfg.tier) {
-          case DispatchTier::Uop:
-            while (status == MachineStatus::Running && total < target)
-                stepOnceU();
-            break;
           case DispatchTier::WordWalk:
-            while (status == MachineStatus::Running && total < target)
+            while (status == MachineStatus::Running && total < target) {
+                if (exporting && mode == Mode::Deliver &&
+                    contsV.empty()) {
+                    status = MachineStatus::Done; // see forceForExport
+                    break;
+                }
                 stepOnceRef();
+            }
             break;
+          case DispatchTier::Uop:
           case DispatchTier::Threaded:
             advanceThreaded<true>(target);
             break;
@@ -348,11 +353,14 @@ class Machine::Impl
 
     /** Record a status transition about to happen (MachDone for
      *  Done, MachFail with the status code otherwise). No-op unless
-     *  currently Running, so latched conditions emit once. */
+     *  currently Running, so latched conditions emit once. The Done
+     *  that ends each deep-force of an export is no transition: the
+     *  machine was already Done, so it emits nothing. */
     void
     noteStatus(MachineStatus st)
     {
-        if (!traceLife || status != MachineStatus::Running)
+        if (!traceLife || status != MachineStatus::Running ||
+            (exporting && st == MachineStatus::Done))
             return;
         emitT(st == MachineStatus::Done ? obs::EventKind::MachDone
                                         : obs::EventKind::MachFail,
@@ -432,10 +440,7 @@ class Machine::Impl
     boot()
     {
         // Allocate the entry thunk and start forcing it.
-        Word root = tierUsesPredecode(cfg.tier)
-                        ? allocApp(kFirstUserFuncId + entry, nullptr,
-                                   0)
-                        : allocAppRef(kFirstUserFuncId + entry, {});
+        Word root = allocAppRef(kFirstUserFuncId + entry, {});
         vreg = mval::mkRef(root);
         mode = Mode::EvalVal;
         status = MachineStatus::Running;
@@ -576,25 +581,6 @@ class Machine::Impl
                                         mhdr::fnOf(h), mhdr::padOf(h)));
     }
 
-    size_t
-    frameCount() const
-    {
-        return tierUsesPredecode(cfg.tier) ? conts.size() : contsV.size();
-    }
-
-    /** One semantic step for the shared deep-force export loop. All
-     *  µop-walking tiers step through the central-switch handlers
-     *  here: export runs after the program has terminated, so only
-     *  the (shared) semantics matter, not the dispatch mechanism. */
-    void
-    stepOnceShared()
-    {
-        if (tierUsesPredecode(cfg.tier))
-            stepOnceU();
-        else
-            stepOnceRef();
-    }
-
     /** Step-top health gate: latch HeapCorrupt/OutOfMemory into the
      *  machine status. Corruption wins — an aborted collection can
      *  leave both conditions set, and the corruption is the cause. */
@@ -652,57 +638,14 @@ class Machine::Impl
   private:
 
     // ============================================================
-    // µop path: predecoded streams on the pooled hot path
+    // The µop core (machine/threaded.cc): direct-threaded dispatch
+    // over the predecoded µop streams on the pooled hot path. With
+    // the cycle model it runs the Uop tier (Threaded names the same
+    // core); without it, the FastFunctional tier, the same steps on
+    // a step clock.
     // ============================================================
 
-    // ------------------------------------------------------------
-    // Heap object construction (span-based; scratch-buffer callers)
-    // ------------------------------------------------------------
-
-    Word
-    allocApp(Word fn, const Word *args, size_t n)
-    {
-        bool pad = n == 0;
-        Word zero = 0;
-        const Word *p = pad ? &zero : args;
-        size_t len = pad ? 1 : n;
-        charge(cfg.timing.allocHeader, MState::ApAllocHeader);
-        chargeN(MState::ApWriteArg, len, len * cfg.timing.letPerArg);
-        return heap.alloc(ObjKind::App, fn, p, len, pad);
-    }
-
-    Word
-    allocAppV(Word callee, const Word *args, size_t n)
-    {
-        appvScratch.clear();
-        appvScratch.push_back(callee);
-        appvScratch.insert(appvScratch.end(), args, args + n);
-        charge(cfg.timing.allocHeader, MState::ApAllocHeader);
-        chargeN(MState::ApWriteArg, appvScratch.size(),
-                appvScratch.size() * cfg.timing.letPerArg);
-        return heap.alloc(ObjKind::AppV, 0, appvScratch.data(),
-                          appvScratch.size());
-    }
-
-    Word
-    allocCons(Word id, const Word *fields, size_t n)
-    {
-        bool pad = n == 0;
-        Word zero = 0;
-        const Word *p = pad ? &zero : fields;
-        size_t len = pad ? 1 : n;
-        charge(cfg.timing.allocHeader, MState::ApAllocHeader);
-        chargeN(MState::ApWriteArg, len, len * cfg.timing.letPerArg);
-        return heap.alloc(ObjKind::Cons, id, p, len, pad);
-    }
-
-    Word
-    allocError(SWord code)
-    {
-        ++machineStats.errorsCreated;
-        Word field = mval::mkInt(code);
-        return allocCons(static_cast<Word>(Prim::Error), &field, 1);
-    }
+    template <bool kCycleModel> void advanceThreaded(Cycles target);
 
     // ------------------------------------------------------------
     // Identifier metadata (resolved once, in the LoadedImage)
@@ -720,50 +663,6 @@ class Machine::Impl
         return id < idInfo.size() && idInfo[id].isCons;
     }
 
-    // ------------------------------------------------------------
-    // The driver (µop)
-    // ------------------------------------------------------------
-
-    void
-    stepOnceU()
-    {
-        if (!heapHealthy())
-            return;
-        if (cfg.gcOnExhaustion && heap.freeWords() < kGcSafeMargin) {
-            runGc(rootProviderU());
-            if (!heapHealthy())
-                return;
-            if (heap.freeWords() < kGcSafeMargin) {
-                noteStatus(MachineStatus::OutOfMemory);
-                status = MachineStatus::OutOfMemory;
-                diagnostic = "live set exceeds semispace capacity";
-                return;
-            }
-        }
-        if (cfg.gcIntervalCycles &&
-            total - lastGcAt >= cfg.gcIntervalCycles) {
-            runGc(rootProviderU());
-            if (!heapHealthy())
-                return;
-        }
-        switch (mode) {
-          case Mode::EvalVal:
-            stepEvalU();
-            break;
-          case Mode::Exec:
-            stepExecU();
-            break;
-          case Mode::Deliver:
-            if (conts.empty()) {
-                noteStatus(MachineStatus::Done);
-                status = MachineStatus::Done;
-                return;
-            }
-            stepDeliverU();
-            break;
-        }
-    }
-
     /** Is this object, as it stands, a WHNF value? */
     bool
     objIsWhnfU(Word h) const
@@ -775,515 +674,6 @@ class Machine::Impl
             return false;
         return mhdr::argsOf(h) < arityOf(mhdr::fnOf(h));
     }
-
-    void
-    stepEvalU()
-    {
-        vreg = heap.chase(vreg);
-        if (mval::isInt(vreg)) {
-            mode = Mode::Deliver;
-            return;
-        }
-        Word addr = mval::refOf(vreg);
-        Word h = heap.header(addr);
-        charge(cfg.timing.whnfCheck,
-               MState::EvWhnfHit); // EvWhnfHit / EvDispatch
-        ObjKind kind = mhdr::kindOf(h);
-        if (kind == ObjKind::Blackhole) {
-            fail("re-entered a thunk under evaluation");
-            return;
-        }
-        if (objIsWhnfU(h)) {
-            ++machineStats.whnfHits;
-            mode = Mode::Deliver;
-            return;
-        }
-
-        // A thunk: collapse pending update frames (EvCollapseUpd),
-        // then enter it (EvEnterThunk + EvPushUpdate).
-        while (!conts.empty() &&
-               conts.top().kind == Frame::Kind::Update) {
-            Word prev = conts.top().target;
-            Word ph = heap.header(prev);
-            heap.setHeader(prev, mhdr::pack(ObjKind::Ind,
-                                            mhdr::countOf(ph), 0,
-                                            mhdr::padOf(ph)));
-            heap.setPayload(prev, 0, vreg);
-            conts.pop();
-            charge(cfg.timing.collapseUpdate, MState::EvCollapseUpd);
-            ++machineStats.updates;
-        }
-        conts.push(Frame::Kind::Update).target = addr;
-        charge(cfg.timing.enterThunk, MState::EvEnterThunk);
-        ++machineStats.forces;
-
-        Word count = mhdr::argsOf(h);
-        Word fn = mhdr::fnOf(h);
-        if (traceExec)
-            emitT(obs::EventKind::EvalEnter,
-                  static_cast<int64_t>(fn),
-                  static_cast<int64_t>(count));
-
-        if (kind == ObjKind::AppV) {
-            // Evaluate the callee value, then apply the arguments.
-            Word callee = heap.payload(addr, 0);
-            Frame &f = conts.push(Frame::Kind::Apply);
-            for (Word i = 1; i < mhdr::countOf(h); ++i)
-                f.extra.push_back(heap.payload(addr, i));
-            blackhole(addr, h);
-            vreg = callee;
-            return;
-        }
-
-        // App thunk on a global identifier.
-        evalScratch.clear();
-        evalScratch.reserve(count);
-        for (Word i = 0; i < count; ++i)
-            evalScratch.push_back(heap.payload(addr, i));
-        blackhole(addr, h);
-
-        Word arity = arityOf(fn);
-        if (isConsId(fn)) {
-            // Over-applied constructor (saturated ones are values).
-            vreg = mval::mkRef(allocError(kErrArity));
-            return;
-        }
-        if (evalScratch.size() > arity) {
-            Frame &f = conts.push(Frame::Kind::Apply);
-            f.extra.assign(evalScratch.begin() + arity,
-                           evalScratch.end());
-            evalScratch.resize(arity);
-            charge(cfg.timing.applyExtra, MState::EvApplyExtra);
-        }
-        if (isPrimId(fn)) {
-            beginPrimU(static_cast<Prim>(fn), evalScratch);
-            return;
-        }
-
-        // EvCallSetup: activate the function body.
-        size_t idx = fn - kFirstUserFuncId;
-        charge(cfg.timing.callSetup, MState::EvCallSetup);
-        ++callCounts[idx];
-        act.funcId = fn;
-        act.args.swap(evalScratch);
-        act.locals.clear();
-        act.pc = funcs[idx].bodyBegin;
-        mode = Mode::Exec;
-    }
-
-    void
-    beginPrimU(Prim p, const std::vector<Word> &args)
-    {
-        // Primitive evaluation is accounted to the let class: the
-        // paper's "applying two arguments to a primitive ALU
-        // function and evaluating it" is a single let-application
-        // unit (Sec. 5.2).
-        curClass = InstrClass::Let;
-        charge(cfg.timing.primSetup, MState::EvPrimSetup);
-        if (args.empty()) {
-            fail("zero-arity primitive application");
-            return;
-        }
-        Frame &f = conts.push(Frame::Kind::PrimArgs);
-        f.prim = p;
-        f.primArgs.assign(args.begin(), args.end());
-        f.nextArg = 0;
-        vreg = f.primArgs[0];
-        mode = Mode::EvalVal;
-    }
-
-    // ------------------------------------------------------------
-    // Exec, µop path: walk the predecoded stream
-    // ------------------------------------------------------------
-
-    Word
-    resolveU(const UOperand &op)
-    {
-        switch (op.src) {
-          case Src::Imm:
-            return op.payload; // pre-tagged at predecode time
-          case Src::Arg:
-            if (op.payload >= act.args.size()) {
-                if (testhooks::poisonedOperandDefect)
-                    return mval::mkInt(0); // seeded PR-1 defect
-                fail("argument index out of range");
-                return kPoisonOperand;
-            }
-            return act.args[op.payload];
-          case Src::Local:
-            if (op.payload >= act.locals.size()) {
-                if (testhooks::poisonedOperandDefect)
-                    return mval::mkInt(0); // seeded PR-1 defect
-                fail("local index out of range");
-                return kPoisonOperand;
-            }
-            return act.locals[op.payload];
-        }
-        return kPoisonOperand;
-    }
-
-    void
-    stepExecU()
-    {
-        if (act.pc >= pre.uops.size()) {
-            fail("program counter ran off the image");
-            return;
-        }
-        const Uop &u = pre.uops[act.pc];
-        switch (u.kind) {
-          case UopKind::Let:
-            curClass = InstrClass::Let;
-            ++machineStats.let.count;
-            charge(cfg.timing.letBase, MState::ApFetchLet);
-            if (traceExec)
-                emitT(obs::EventKind::ExecLet,
-                      static_cast<int64_t>(act.funcId),
-                      static_cast<int64_t>(u.nargs));
-            execLetU(u);
-            return;
-          case UopKind::Case: {
-            curClass = InstrClass::Case;
-            ++machineStats.caseInstr.count;
-            charge(cfg.timing.caseBase, MState::EvFetchCase);
-            if (traceExec)
-                emitT(obs::EventKind::ExecCase,
-                      static_cast<int64_t>(act.funcId));
-            Word scrut = resolveU(u.operand);
-            if (status != MachineStatus::Running)
-                return;
-            poisonGuard(scrut);
-            Frame &f = conts.push(Frame::Kind::Case);
-            f.act.funcId = act.funcId;
-            f.act.pc = act.pc;
-            f.act.args.assign(act.args.begin(), act.args.end());
-            f.act.locals.assign(act.locals.begin(),
-                                act.locals.end());
-            vreg = scrut;
-            mode = Mode::EvalVal;
-            return;
-          }
-          case UopKind::Result: {
-            curClass = InstrClass::Result;
-            ++machineStats.result.count;
-            charge(cfg.timing.resultBase, MState::EvFetchResult);
-            if (traceExec)
-                emitT(obs::EventKind::ExecResult,
-                      static_cast<int64_t>(act.funcId));
-            Word v = resolveU(u.operand);
-            if (status != MachineStatus::Running)
-                return;
-            poisonGuard(v);
-            vreg = v;
-            mode = Mode::EvalVal;
-            return;
-          }
-          case UopKind::Invalid:
-            fail(strprintf("unexpected opcode at word %zu", act.pc));
-            return;
-        }
-    }
-
-    void
-    execLetU(const Uop &u)
-    {
-        letScratch.clear();
-        const UOperand *ops = pre.operands.data() + u.argsBegin;
-        for (uint32_t i = 0; i < u.nargs; ++i) {
-            charge(cfg.timing.letPerArg, MState::ApFetchArg);
-            Word v = resolveU(ops[i]);
-            if (status != MachineStatus::Running)
-                return;
-            poisonGuard(v);
-            letScratch.push_back(v);
-        }
-        machineStats.letArgs += u.nargs;
-
-        Word bound = 0;
-        if (u.calleeKind == CalleeKind::Func) {
-            if (u.calleeClass == UCallee::Unknown) {
-                fail("let names an unknown function identifier");
-                return;
-            }
-            if (u.calleeClass == UCallee::Cons &&
-                letScratch.size() == u.calleeArity) {
-                bound = mval::mkRef(allocCons(
-                    u.calleeId, letScratch.data(), letScratch.size()));
-            } else if (u.calleeClass == UCallee::Cons &&
-                       letScratch.size() > u.calleeArity) {
-                bound = mval::mkRef(allocError(kErrArity));
-            } else {
-                bound = mval::mkRef(allocApp(
-                    u.calleeId, letScratch.data(), letScratch.size()));
-            }
-        } else {
-            Word callee;
-            if (u.calleeKind == CalleeKind::Local) {
-                if (u.calleeId >= act.locals.size()) {
-                    fail("callee local out of range");
-                    return;
-                }
-                callee = act.locals[u.calleeId];
-            } else {
-                if (u.calleeId >= act.args.size()) {
-                    fail("callee arg out of range");
-                    return;
-                }
-                callee = act.args[u.calleeId];
-            }
-            if (letScratch.empty()) {
-                charge(cfg.timing.collapseUpdate,
-                       MState::ApAliasLocal);
-                bound = callee;
-            } else {
-                bound = bindApplyU(callee);
-            }
-        }
-        act.locals.push_back(bound);
-        act.pc = u.next;
-    }
-
-    /** Apply the letScratch arguments to a callee value. */
-    Word
-    bindApplyU(Word callee)
-    {
-        Word c = heap.chase(callee);
-        if (mval::isInt(c))
-            return mval::mkRef(allocError(kErrBadApply));
-        Word h = heap.header(mval::refOf(c));
-        ObjKind k = mhdr::kindOf(h);
-        if (k == ObjKind::App && objIsWhnfU(h)) {
-            // ApCopyPartial + ApExtendArgs.
-            Word fn = mhdr::fnOf(h);
-            Word have = mhdr::argsOf(h);
-            applyScratch.clear();
-            applyScratch.reserve(have + letScratch.size());
-            for (Word i = 0; i < have; ++i)
-                applyScratch.push_back(heap.payload(mval::refOf(c), i));
-            chargeN(MState::ApCopyPartial, have,
-                    have * cfg.timing.copyPartialPerWord);
-            applyScratch.insert(applyScratch.end(),
-                                letScratch.begin(), letScratch.end());
-            if (isConsId(fn) && applyScratch.size() == arityOf(fn)) {
-                return mval::mkRef(allocCons(fn, applyScratch.data(),
-                                             applyScratch.size()));
-            }
-            if (isConsId(fn) && applyScratch.size() > arityOf(fn))
-                return mval::mkRef(allocError(kErrArity));
-            return mval::mkRef(allocApp(fn, applyScratch.data(),
-                                        applyScratch.size()));
-        }
-        if (k == ObjKind::Cons) {
-            return mhdr::fnOf(h) == static_cast<Word>(Prim::Error)
-                       ? c
-                       : mval::mkRef(allocError(kErrArity));
-        }
-        // Callee is an unevaluated thunk: defer.
-        return mval::mkRef(allocAppV(callee, letScratch.data(),
-                                     letScratch.size()));
-    }
-
-    // ------------------------------------------------------------
-    // Deliver (µop)
-    // ------------------------------------------------------------
-
-    void
-    stepDeliverU()
-    {
-        Frame &f = conts.top();
-        switch (f.kind) {
-          case Frame::Kind::Update: {
-            Word target = f.target;
-            conts.pop();
-            Word h = heap.header(target);
-            heap.setHeader(target,
-                           mhdr::pack(ObjKind::Ind, mhdr::countOf(h),
-                                      0, mhdr::padOf(h)));
-            heap.setPayload(target, 0, vreg);
-            charge(cfg.timing.update, MState::EvUpdate);
-            ++machineStats.updates;
-            return; // stay in Deliver
-          }
-          case Frame::Kind::Case:
-            // Swap instead of move: the slot keeps the dead
-            // activation's buffers for the next push to recycle.
-            std::swap(act, f.act);
-            conts.pop();
-            charge(cfg.timing.returnToCase, MState::EvReturn);
-            resumeCaseU();
-            return;
-          case Frame::Kind::PrimArgs:
-            resumePrimU();
-            return;
-          case Frame::Kind::Apply:
-            resumeApplyU();
-            return;
-        }
-    }
-
-    void
-    resumeCaseU()
-    {
-        curClass = InstrClass::Case;
-        const Uop &u = pre.uops[act.pc]; // saved at the case head
-        Word v = heap.chase(vreg);
-        bool isInt = mval::isInt(v);
-        Word h = 0;
-        if (!isInt)
-            h = heap.header(mval::refOf(v));
-
-        // Walk the flattened jump table; 1 cycle per branch head.
-        const UPattern *pats = pre.patterns.data() + u.patBegin;
-        for (uint32_t i = 0; i < u.patCount; ++i) {
-            charge(cfg.timing.branchHead, MState::EvBranchHead);
-            ++machineStats.branchHeads;
-            const UPattern &pat = pats[i];
-            bool match;
-            if (pat.isCons) {
-                match = !isInt &&
-                        mhdr::kindOf(h) == ObjKind::Cons &&
-                        mhdr::fnOf(h) == pat.consId;
-            } else {
-                match = isInt && mval::intOf(v) == pat.lit;
-            }
-            if (match) {
-                if (pat.isCons) {
-                    Word addr = mval::refOf(v);
-                    Word n = mhdr::argsOf(h);
-                    for (Word j = 0; j < n; ++j) {
-                        act.locals.push_back(heap.payload(addr, j));
-                        charge(cfg.timing.fieldPush,
-                               MState::EvFieldPush);
-                    }
-                }
-                act.pc = pat.body;
-                mode = Mode::Exec;
-                return;
-            }
-        }
-        act.pc = u.elseBody;
-        mode = Mode::Exec;
-    }
-
-    void
-    resumePrimU()
-    {
-        Frame &f = conts.top();
-        curClass = InstrClass::Let;
-        Word v = heap.chase(vreg);
-        Prim p = f.prim;
-        charge(cfg.timing.primPerArg, MState::EvPrimArg);
-
-        if (mval::isRef(v)) {
-            Word h = heap.header(mval::refOf(v));
-            conts.pop();
-            if (mhdr::kindOf(h) == ObjKind::Cons &&
-                mhdr::fnOf(h) == static_cast<Word>(Prim::Error)) {
-                vreg = v;
-                mode = Mode::Deliver;
-                return;
-            }
-            SWord code = (p == Prim::GetInt || p == Prim::PutInt)
-                             ? kErrIoNotInt
-                             : kErrBadApply;
-            vreg = mval::mkRef(allocError(code));
-            mode = Mode::Deliver;
-            return;
-        }
-
-        f.collected.push_back(mval::intOf(v));
-        f.nextArg++;
-        if (f.nextArg < f.primArgs.size()) {
-            // More operands: keep the frame on the stack (the
-            // reference machine pops and re-pushes the identical
-            // frame).
-            vreg = f.primArgs[f.nextArg];
-            mode = Mode::EvalVal;
-            return;
-        }
-
-        conts.pop(); // popped slot stays readable until the next push
-        if (traceExec)
-            emitT(obs::EventKind::PrimOp, static_cast<int64_t>(p),
-                  static_cast<int64_t>(f.collected.size()));
-        switch (p) {
-          case Prim::GetInt:
-            charge(cfg.timing.ioOp, MState::EvIoOp);
-            vreg = mval::mkInt(wrapInt31(bus.getInt(f.collected[0])));
-            break;
-          case Prim::PutInt:
-            charge(cfg.timing.ioOp, MState::EvIoOp);
-            bus.putInt(f.collected[0], f.collected[1]);
-            vreg = mval::mkInt(f.collected[1]);
-            break;
-          case Prim::InvokeGc:
-            // The hardware GC-invocation function: collect now.
-            runGc(rootProviderU());
-            vreg = mval::mkInt(f.collected[0]);
-            break;
-          default: {
-            charge(cfg.timing.aluOp, MState::EvAluOp);
-            PrimResult r = evalAlu(p, f.collected);
-            vreg = r.ok ? mval::mkInt(r.value)
-                        : mval::mkRef(allocError(r.errCode));
-            break;
-          }
-        }
-        mode = Mode::Deliver;
-    }
-
-    void
-    resumeApplyU()
-    {
-        Frame &f = conts.top();
-        conts.pop(); // slot storage stays valid; nothing pushes below
-        curClass = InstrClass::Let;
-        charge(cfg.timing.applyExtra, MState::EvApplyExtra);
-        Word v = heap.chase(vreg);
-        if (mval::isInt(v)) {
-            vreg = mval::mkRef(allocError(kErrBadApply));
-            mode = Mode::Deliver;
-            return;
-        }
-        Word addr = mval::refOf(v);
-        Word h = heap.header(addr);
-        if (mhdr::kindOf(h) == ObjKind::Cons) {
-            vreg = mhdr::fnOf(h) == static_cast<Word>(Prim::Error)
-                       ? v
-                       : mval::mkRef(allocError(kErrArity));
-            mode = Mode::Deliver;
-            return;
-        }
-        // Partial application: extend and re-evaluate.
-        Word fn = mhdr::fnOf(h);
-        Word have = mhdr::argsOf(h);
-        applyScratch.clear();
-        applyScratch.reserve(have + f.extra.size());
-        for (Word i = 0; i < have; ++i)
-            applyScratch.push_back(heap.payload(addr, i));
-        chargeN(MState::ApCopyPartial, have,
-                have * cfg.timing.copyPartialPerWord);
-        applyScratch.insert(applyScratch.end(), f.extra.begin(),
-                            f.extra.end());
-        if (isConsId(fn) && applyScratch.size() == arityOf(fn)) {
-            vreg = mval::mkRef(allocCons(fn, applyScratch.data(),
-                                         applyScratch.size()));
-        } else if (isConsId(fn) && applyScratch.size() > arityOf(fn)) {
-            vreg = mval::mkRef(allocError(kErrArity));
-        } else {
-            vreg = mval::mkRef(allocApp(fn, applyScratch.data(),
-                                        applyScratch.size()));
-        }
-        mode = Mode::EvalVal;
-    }
-
-    // ============================================================
-    // The threaded core (machine/threaded.cc): direct-threaded
-    // dispatch over the µop streams. With the cycle model it is
-    // the Threaded tier, bit-identical to the µop tier; without it,
-    // the FastFunctional tier, the same steps on a step clock.
-    // ============================================================
-
-    template <bool kCycleModel> void advanceThreaded(Cycles target);
 
     Heap::RootProvider
     rootProviderU()
@@ -2046,23 +1436,23 @@ class Machine::Impl
                     : Value::makeClosure(fn, std::move(items));
     }
 
-    /** Run the machine until `v` is WHNF; leaves it in vreg. */
+    /** Run the machine until `v` is WHNF; leaves it in vreg. Export
+     *  starts only after Done, with the frame stack empty, so the
+     *  tier's own Done (delivery with no frame left) is the stop,
+     *  on the tier's own clock and with no cycle limit. The stop
+     *  comes before that boundary's step preamble: a collection or
+     *  health latch falling due there is left to the next field's
+     *  first step, and the Done emits no MachDone (noteStatus). */
     bool
     forceForExport(Word v)
     {
         vreg = v;
         mode = Mode::EvalVal;
         status = MachineStatus::Running;
-        size_t base = frameCount();
-        for (;;) {
-            if (status != MachineStatus::Running)
-                return false;
-            if (mode == Mode::Deliver && frameCount() == base) {
-                status = MachineStatus::Done;
-                return true;
-            }
-            stepOnceShared();
-        }
+        exporting = true;
+        advanceTo(std::numeric_limits<Cycles>::max());
+        exporting = false;
+        return status == MachineStatus::Done;
     }
 
     /** Fold the µop path's flat per-function activation counters
@@ -2112,6 +1502,8 @@ class Machine::Impl
     std::string diagnostic;
     Cycles total = 0;
     Cycles lastGcAt = 0;
+    /** Inside forceForExport (see noteStatus and advanceTo). */
+    bool exporting = false;
 
     // Observability (cached from cfg at construction; see charge()).
     obs::Recorder *trace = nullptr;

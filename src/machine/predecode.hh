@@ -85,7 +85,7 @@ enum class UCallee : uint8_t
 /**
  * Direct-threaded dispatch tokens (machine/threaded.cc). Each
  * executable µop's handler is resolved once, at predecode time, into
- * one of these codes; the threaded tiers dispatch on the token
+ * one of these codes; the µop core dispatches on the token
  * instead of re-branching on kind/calleeKind/calleeClass/arity every
  * execution. A small token (a `switch` case) rather than a raw
  * handler address keeps the Predecoded artifact shareable across

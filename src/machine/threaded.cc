@@ -1,18 +1,16 @@
 /**
  * @file
- * The direct-threaded dispatch core of the λ-machine.
+ * The µop core of the λ-machine: direct-threaded dispatch over the
+ * predecoded µop streams (machine/predecode.hh).
  *
- * The µop tier (machine/predecode.hh) already decodes each image
- * word once, but still finds every handler through a central switch:
- * one indirect branch for the machine mode, another for the µop
- * kind, then a chain of data-dependent tests (callee kind, callee
- * class, saturation). The threaded core resolves that whole decision
- * tree once, at predecode time, into a dispatch token (UTok) stored
- * in the µop. The core is one function: handlers are labels, every
- * transition whose successor is known statically is a plain `goto`,
- * and only the entry (on the resumed mode), the token fetch and the
- * continuation delivery dispatch on data, each through a `switch`.
- * Hot machine state (the value register, the cycle counter, the
+ * Predecoding decodes each image word once and also resolves the
+ * whole per-µop decision tree — µop kind, callee kind, callee class,
+ * saturation — into a dispatch token (UTok) stored in the µop. The
+ * core is one function: handlers are labels, every transition whose
+ * successor is known statically is a plain `goto`, and only the
+ * entry (on the resumed mode), the token fetch and the continuation
+ * delivery dispatch on data, each through a `switch`. Hot machine
+ * state (the value register, the cycle counter, the
  * instruction-class cycle bucket) lives in locals across handlers
  * instead of being reloaded from the Impl per step.
  *
@@ -20,27 +18,25 @@
  * and its two instantiations are two tiers (DispatchTier in
  * machine.hh):
  *
- *  - Threaded (cycle model kept): every charge, statistic, trace
- *    event, and GC trigger point of stepOnceU is replicated exactly,
- *    so this tier is bit-identical to the µop tier — results, cycles,
- *    MachineStats, FSM tally, event streams, and snapshots are
- *    interchangeable (tests/test_machine_threaded.cc holds it to
- *    that).
+ *  - Uop, also named Threaded (cycle model kept): the machine's
+ *    cycle-accurate default. Every charge, statistic, trace event,
+ *    and GC trigger point matches the word-walking reference path
+ *    (machine_impl.hh) and the lifted-IR evaluator (ir/core.hh),
+ *    the two independent cycle-exact references the differential
+ *    tests and the fuzz oracle hold it to.
  *
  *  - FastFunctional (cycle model dropped): the cycle charges, the
  *    per-class cycle buckets, the FSM tally, the per-µop exec and
  *    primitive trace events, and the interval-GC trigger compile
  *    out, and each step boundary adds one to the clock instead.
- *    The steps are the Threaded tier's, so allocation order, GC
- *    points, and evacuation order match the µop tier, and with no
- *    GC interval set every statistic but the execution-cycle fields
- *    equals its run; cycles() counts steps, so the tier is for
- *    campaign and fuzz throughput only, never for timing
- *    (docs/PERF.md).
+ *    The steps are the µop tier's, so allocation order, GC points,
+ *    and evacuation order match it, and with no GC interval set
+ *    every statistic but the execution-cycle fields equals its run;
+ *    cycles() counts steps, so the tier is for campaign and fuzz
+ *    throughput only, never for timing (docs/PERF.md).
  *
- * Both are member functions of Machine::Impl (machine/machine_impl.hh)
- * over the same architectural state as the µop tier, selected through
- * MachineConfig::tier.
+ * Both are member functions of Machine::Impl (machine/machine_impl.hh),
+ * selected through MachineConfig::tier.
  */
 
 #include "machine/machine_impl.hh"
@@ -52,14 +48,13 @@ namespace zarf
 // Hot state (the clock `tot`, the value register `vr`, the
 // instruction-class cycle bucket) lives in locals across handler
 // labels, and each handler jumps to its statically known successor
-// through the inter-step preamble. With the cycle model kept, every
-// charge, statistic, trace event, and GC trigger point matches
-// stepOnceU to the bit; the macros below are the µop helpers
-// re-expressed over the locals, and `kCycleModel` compiles the
-// accounting out of the step-clock instantiation.
+// through the inter-step preamble. The macros below are the Impl's
+// charge()/chargeN()/resolve helpers re-expressed over the locals,
+// and `kCycleModel` compiles the accounting out of the step-clock
+// instantiation.
 // ================================================================
 
-// Charge one visit of state `st` costing n cycles (µop charge()).
+// Charge one visit of state `st` costing n cycles (Impl::charge()).
 // The stats-ledger shares (execCycles and the per-class bucket) are
 // accumulated in the locals `exc`/`bkt` and folded into the members
 // only at SYNC/SETCLASS, so the hot path touches no memory; every
@@ -78,7 +73,7 @@ namespace zarf
         }                                                             \
     } while (0)
 
-// Charge `visits` visits of `st` costing n in total (µop chargeN()).
+// Charge `visits` visits of `st` costing n in total (Impl::chargeN()).
 #define CHARGE_N(st, visits, n)                                       \
     do {                                                              \
         if constexpr (kCycleModel) {                                  \
@@ -124,8 +119,8 @@ namespace zarf
         vr = vreg;                                                    \
     } while (0)
 
-// fail() with the member mode a µop step would have had at this
-// point (the mode of the step being executed).
+// fail() with the member mode of the step being executed, so the
+// stopped machine's state is that step's.
 #define FAILX(why, m)                                                 \
     do {                                                              \
         mode = Mode::m;                                               \
@@ -134,7 +129,7 @@ namespace zarf
         return;                                                       \
     } while (0)
 
-// Switch the instruction-class cycle bucket (µop curClass writes).
+// Switch the instruction-class cycle bucket (the curClass register).
 // Folds the pending charges into the outgoing class first.
 #define SETCLASS(cls, field)                                          \
     do {                                                              \
@@ -146,10 +141,18 @@ namespace zarf
         }                                                             \
     } while (0)
 
-// The inter-step preamble: budget check, then the stepOnceU
-// preamble (health gate, safe-margin GC, interval GC), then a
-// direct jump to the next handler. `m` is the Mode the next step
-// runs in — stored only on the exit paths, never on the hot path.
+// True at the boundary that ends one deep-force of an export (see
+// Impl::forceForExport): the value is delivered with no frame left.
+// Export stops there before the step preamble, so the rare branches
+// below test it only once they would act.
+#define EXPORT_DONE(m)                                                \
+    (Mode::m == Mode::Deliver && exporting && conts.empty())
+
+// The inter-step preamble: the cycle-target check, then the health
+// gate, the safe-margin GC and the interval GC that precede every
+// step (as in stepOnceRef), then a direct jump to the next handler.
+// `m` is the Mode the next step runs in — stored only on the exit
+// paths, never on the hot path.
 #define ENTER(L, m)                                                   \
     do {                                                              \
         if (tot >= target) {                                          \
@@ -157,13 +160,15 @@ namespace zarf
             SYNC();                                                   \
             return;                                                   \
         }                                                             \
-        if (heap.corrupt() || heap.outOfMemory()) [[unlikely]] {      \
+        if ((heap.corrupt() || heap.outOfMemory()) &&                 \
+            !EXPORT_DONE(m)) [[unlikely]] {                           \
             mode = Mode::m;                                           \
             SYNC();                                                   \
             heapHealthy();                                            \
             return;                                                   \
         }                                                             \
-        if (gcExh && heap.freeWords() < kGcSafeMargin) [[unlikely]] { \
+        if (gcExh && heap.freeWords() < kGcSafeMargin &&              \
+            !EXPORT_DONE(m)) [[unlikely]] {                           \
             mode = Mode::m;                                           \
             SYNC();                                                   \
             runGc(rootProviderU());                                   \
@@ -178,7 +183,8 @@ namespace zarf
             RELOAD();                                                 \
         }                                                             \
         if constexpr (kCycleModel) {                                  \
-            if (gcInt && tot - lastGcAt >= gcInt) [[unlikely]] {      \
+            if (gcInt && tot - lastGcAt >= gcInt &&                   \
+                !EXPORT_DONE(m)) [[unlikely]] {                       \
                 mode = Mode::m;                                       \
                 SYNC();                                               \
                 runGc(rootProviderU());                               \
@@ -199,8 +205,9 @@ namespace zarf
         ENTER(L, m);                                                  \
     } while (0)
 
-// Inline resolveU with the failure jump folded in (no post-call
-// status check on the hot path).
+// Resolve an operand (Impl::resolveOperand over a predecoded
+// operand) with the failure jump folded in (no post-call status
+// check on the hot path).
 #define RESOLVE_TO(dst, op, m)                                        \
     do {                                                              \
         const UOperand &o_ = (op);                                    \
@@ -230,7 +237,7 @@ namespace zarf
     } while (0)
 
 // The shared Let head: class/count/charge/trace, then fetch and
-// resolve every argument word into letScratch (execLetU prologue).
+// resolve every argument word into letScratch.
 #define LET_HEAD()                                                    \
     do {                                                              \
         SETCLASS(Let, let);                                           \
@@ -249,7 +256,7 @@ namespace zarf
         machineStats.letArgs += u->nargs;                             \
     } while (0)
 
-// Read the callee value of a Local/Arg-callee let (execLetU).
+// Read the callee value of a Local/Arg-callee let.
 #define FETCH_CALLEE(dst)                                             \
     do {                                                              \
         if (u->calleeKind == CalleeKind::Local) {                     \
@@ -303,8 +310,9 @@ Machine::Impl::advanceThreaded(Cycles target)
         break;
     }
 
-    // Allocation helpers over the locals (µop allocApp/allocCons/
-    // allocAppV/allocError with the identical charge sequence).
+    // Allocation helpers over the locals (the word-walking path's
+    // allocAppRef/allocConsRef/allocAppVRef/allocErrorRef with the
+    // identical charge sequence, over scratch spans).
     auto allocAppL = [&](Word fn, const Word *args, size_t n) -> Word {
         bool pad = n == 0;
         Word zero = 0;
@@ -340,7 +348,7 @@ Machine::Impl::advanceThreaded(Cycles target)
         Word field = mval::mkInt(code);
         return allocConsL(static_cast<Word>(Prim::Error), &field, 1);
     };
-    // bindApplyU over the locals.
+    // Apply the letScratch arguments to a callee value.
     auto bindApplyL = [&](Word callee) -> Word {
         Word c = heap.chase(callee);
         if (mval::isInt(c))
@@ -394,7 +402,7 @@ Machine::Impl::advanceThreaded(Cycles target)
     return; // unreachable: the switch above covers every mode
 
     // ------------------------------------------------------------
-    // EvalVal (stepEvalU)
+    // EvalVal
     // ------------------------------------------------------------
 L_eval:
     vr = heap.chase(vr);
@@ -462,7 +470,7 @@ L_eval:
             CHARGE(tm.applyExtra, EvApplyExtra);
         }
         if (isPrimId(fn)) {
-            // beginPrimU, inline.
+            // Begin a primitive application.
             SETCLASS(Let, let);
             CHARGE(tm.primSetup, EvPrimSetup);
             if (evalScratch.empty())
@@ -487,7 +495,7 @@ L_eval:
     NEXT(L_exec, Exec);
 
     // ------------------------------------------------------------
-    // Exec (stepExecU): fetch and token-dispatch
+    // Exec: fetch and token-dispatch
     // ------------------------------------------------------------
 L_exec:
     if (act.pc >= nUops) [[unlikely]]
@@ -568,8 +576,8 @@ T_case:
         Word scrut;
         RESOLVE_TO(scrut, u->operand, Exec);
         // Copy (not swap) the activation into the frame: the stale
-        // copy left in `act` is part of the GC root walk, and the
-        // µop path's evacuation order depends on it.
+        // copy left in `act` is part of the GC root walk, as on the
+        // reference path, and the evacuation order depends on it.
         Frame &f = conts.push(Frame::Kind::Case);
         f.act.funcId = act.funcId;
         f.act.pc = act.pc;
@@ -595,7 +603,7 @@ T_invalid:
     FAILX(strprintf("unexpected opcode at word %zu", act.pc), Exec);
 
     // ------------------------------------------------------------
-    // Deliver (stepOnceU Deliver arm + stepDeliverU)
+    // Deliver
     // ------------------------------------------------------------
 L_deliver:
     if (conts.empty()) {
@@ -631,8 +639,8 @@ D_update:
 
 D_case:
     // Swap instead of move: the slot keeps the dead activation's
-    // buffers for the next push to recycle (stepDeliverU), then
-    // resumeCaseU verbatim.
+    // buffers for the next push to recycle. Then walk the flattened
+    // jump table, one branch head per pattern.
     std::swap(act, conts.top().act);
     conts.pop();
     CHARGE(tm.returnToCase, EvReturn);
@@ -675,7 +683,7 @@ D_case:
     NEXT(L_exec, Exec);
 
 D_prim:
-    // resumePrimU, verbatim.
+    // Collect one primitive operand; apply once all are in.
     {
         Frame &f = conts.top();
         SETCLASS(Let, let);
@@ -741,7 +749,7 @@ D_prim:
     NEXT(L_deliver, Deliver);
 
 D_apply:
-    // resumeApplyU, verbatim.
+    // Apply leftover arguments to the evaluated callee.
     {
         Frame &f = conts.top();
         conts.pop(); // slot storage stays valid; nothing pushes below
@@ -789,6 +797,7 @@ D_apply:
 #undef RELOAD
 #undef FAILX
 #undef SETCLASS
+#undef EXPORT_DONE
 #undef ENTER
 #undef NEXT
 #undef TRACE_EXEC

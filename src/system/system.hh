@@ -139,10 +139,10 @@ struct SystemConfig
     TimingModel lambdaTiming{};
 
     /** λ-machine dispatch tier. Any cycle-accurate tier is
-     *  behavior-identical here (the threaded tier just co-simulates
-     *  faster); FastFunctional is rejected at construction — the
-     *  co-simulation schedules the two layers by λ cycles, which
-     *  that tier does not model. */
+     *  behavior-identical here (the word-walking reference just
+     *  co-simulates slower); FastFunctional is rejected at
+     *  construction — the co-simulation schedules the two layers by
+     *  λ cycles, which that tier does not model. */
     DispatchTier lambdaTier = DispatchTier::Uop;
 
     /** Bounded λ->mb FIFO depth; pushes beyond it are dropped and

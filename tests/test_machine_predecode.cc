@@ -1,57 +1,27 @@
 /**
  * @file
- * Differential testing of the predecoded µop execution path against
- * the word-walking reference path (machine/predecode.hh). The µop
- * machine must be bit-identical in results, total cycle counts, and
- * every statistic — on random programs, under GC pressure, and on
- * the full ICD kernel — plus the load-time structural validation
- * that predecoding hoists out of the per-step hot path.
+ * The predecoded µop execution path (machine/predecode.hh): the µop
+ * core against the lifted-IR evaluator, its second cycle-exact
+ * reference beside the word-walking path (tests/test_machine_threaded.cc
+ * holds it to that one), on random programs and under GC pressure —
+ * plus the load-time structural validation that predecoding hoists
+ * out of the per-step hot path.
  */
 
 #include <gtest/gtest.h>
 
 #include "fuzz/genprog.hh"
-#include "ecg/synth.hh"
-#include "icd/zarf_icd.hh"
+#include "fuzz/oracle.hh"
+#include "ir/eval.hh"
+#include "ir/lift.hh"
 #include "isa/binary.hh"
 #include "isa/encoding.hh"
 #include "machine/machine.hh"
-#include "system/ports.hh"
 
 namespace zarf
 {
 namespace
 {
-
-/** Require every statistic to be identical between the two paths. */
-void
-expectStatsEqual(const MachineStats &a, const MachineStats &b)
-{
-    EXPECT_EQ(a.let.count, b.let.count);
-    EXPECT_EQ(a.let.cycles, b.let.cycles);
-    EXPECT_EQ(a.caseInstr.count, b.caseInstr.count);
-    EXPECT_EQ(a.caseInstr.cycles, b.caseInstr.cycles);
-    EXPECT_EQ(a.result.count, b.result.count);
-    EXPECT_EQ(a.result.cycles, b.result.cycles);
-    EXPECT_EQ(a.branchHeads, b.branchHeads);
-    EXPECT_EQ(a.letArgs, b.letArgs);
-    EXPECT_EQ(a.allocations, b.allocations);
-    EXPECT_EQ(a.allocatedWords, b.allocatedWords);
-    EXPECT_EQ(a.forces, b.forces);
-    EXPECT_EQ(a.whnfHits, b.whnfHits);
-    EXPECT_EQ(a.updates, b.updates);
-    EXPECT_EQ(a.errorsCreated, b.errorsCreated);
-    EXPECT_EQ(a.loadCycles, b.loadCycles);
-    EXPECT_EQ(a.execCycles, b.execCycles);
-    EXPECT_EQ(a.callsPerFunc, b.callsPerFunc);
-    EXPECT_EQ(a.gcRuns, b.gcRuns);
-    EXPECT_EQ(a.gcCycles, b.gcCycles);
-    EXPECT_EQ(a.gcObjectsCopied, b.gcObjectsCopied);
-    EXPECT_EQ(a.gcWordsCopied, b.gcWordsCopied);
-    EXPECT_EQ(a.gcRefChecks, b.gcRefChecks);
-    EXPECT_EQ(a.gcMaxLiveWords, b.gcMaxLiveWords);
-    EXPECT_EQ(a.gcMaxPauseCycles, b.gcMaxPauseCycles);
-}
 
 MachineConfig
 pathConfig(bool predecode, size_t semispaceWords = 1u << 20)
@@ -62,6 +32,14 @@ pathConfig(bool predecode, size_t semispaceWords = 1u << 20)
     return cfg;
 }
 
+/**
+ * Run a generated program on the µop core and on the lifted-IR
+ * evaluator. They must agree on the outcome class, the value, the
+ * I/O log, and Machine::cycles() — load, execution, and the
+ * deep-force export. GC runs off that clock, so a collector-free
+ * evaluator matches it under any heap size; only out-of-memory runs,
+ * a bound the unbounded IR heap cannot hit, compare nothing.
+ */
 void
 runDifferential(uint64_t seed, size_t semispaceWords)
 {
@@ -74,22 +52,37 @@ runDifferential(uint64_t seed, size_t semispaceWords)
     ASSERT_TRUE(b.ok) << b.error;
     Image img = encodeProgram(b.program);
 
-    NullBus busA, busB;
-    Machine legacy(img, busA, pathConfig(false, semispaceWords));
-    Machine uop(img, busB, pathConfig(true, semispaceWords));
-    Machine::Outcome oa = legacy.run();
-    Machine::Outcome ob = uop.run();
+    const Cycles maxCycles = 2'000'000'000ull;
+    fuzz::RecordBus busA, busB;
+    Machine uop(img, busA, pathConfig(true, semispaceWords));
+    Machine::Outcome mo = uop.run(maxCycles);
+    ASSERT_NE(mo.status, MachineStatus::Running);
+    if (mo.status == MachineStatus::OutOfMemory)
+        return;
 
-    ASSERT_EQ(oa.status, ob.status)
-        << "legacy: " << oa.diagnostic << "\nuop: " << ob.diagnostic;
-    EXPECT_EQ(legacy.cycles(), uop.cycles());
-    if (oa.status == MachineStatus::Done) {
-        ASSERT_TRUE(oa.value && ob.value);
-        EXPECT_TRUE(Value::equal(*oa.value, *ob.value))
-            << "legacy: " << oa.value->toString() << "\n"
-            << "uop:    " << ob.value->toString();
+    ir::LiftResult lift = ir::liftImage(img);
+    ASSERT_TRUE(lift.ok) << lift.error;
+    ir::EvalConfig ic;
+    ic.maxCycles = maxCycles;
+    ic.hardStopCycles = uop.cycles();
+    ir::Outcome io = ir::evalModule(lift.module, busB, ic);
+
+    const bool mDone = mo.status == MachineStatus::Done;
+    ASSERT_EQ(mDone, io.status == ir::Outcome::Status::Done)
+        << "uop: " << mo.diagnostic << "\nir: " << io.diagnostic;
+    if (!mDone) {
+        EXPECT_EQ(mo.status, MachineStatus::Stuck) << mo.diagnostic;
+        EXPECT_EQ(io.status, ir::Outcome::Status::Stuck)
+            << io.diagnostic;
     }
-    expectStatsEqual(legacy.stats(), uop.stats());
+    EXPECT_EQ(uop.cycles(), io.cycles);
+    if (mDone) {
+        ASSERT_TRUE(mo.value && io.value);
+        EXPECT_TRUE(Value::equal(*mo.value, *io.value))
+            << "uop: " << mo.value->toString() << "\n"
+            << "ir:  " << io.value->toString();
+    }
+    EXPECT_TRUE(busA.ops == busB.ops);
 }
 
 class PredecodeDifferential : public ::testing::TestWithParam<uint64_t>
@@ -110,66 +103,13 @@ class PredecodeGcDifferential
 TEST_P(PredecodeGcDifferential, BitIdenticalUnderGcPressure)
 {
     // A heap barely above the safe-point margin forces frequent
-    // collections; GC cycle accounting and max-pause tracking must
-    // still match exactly (same roots visited in the same order).
+    // collections, none of which may move the mutator's cycle
+    // ledger, the value, or the I/O order.
     runDifferential(GetParam(), 3 * 4096);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PredecodeGcDifferential,
                          ::testing::Range(uint64_t(0), uint64_t(60)));
-
-// ----------------------------------------------------------------
-// ICD kernel co-simulation workload
-// ----------------------------------------------------------------
-
-/** Back-to-back rig as in the Sec. 6 trace: the timer always
- *  fires, ECG samples come from a scripted heart. */
-class BusyRig : public IoBus
-{
-  public:
-    explicit BusyRig(ecg::Heart &h) : heart(h) {}
-
-    SWord
-    getInt(SWord port) override
-    {
-        if (port == sys::kPortTimer)
-            return 1;
-        if (port == sys::kPortEcgIn)
-            return heart.nextSample();
-        return 0;
-    }
-
-    void
-    putInt(SWord port, SWord v) override
-    {
-        writes.push_back({ port, v });
-    }
-
-    ecg::Heart &heart;
-    std::vector<std::pair<SWord, SWord>> writes;
-};
-
-TEST(PredecodeIcd, KernelTraceBitIdentical)
-{
-    // Include a VT episode so therapy paths execute in both runs.
-    ecg::ScriptedHeart heartA({ { 20.0, 75.0 }, { 40.0, 190.0 } },
-                              42);
-    ecg::ScriptedHeart heartB({ { 20.0, 75.0 }, { 40.0, 190.0 } },
-                              42);
-    BusyRig rigA(heartA), rigB(heartB);
-    Image img = icd::buildKernelImage();
-    Machine legacy(img, rigA, pathConfig(false));
-    Machine uop(img, rigB, pathConfig(true));
-
-    while (legacy.cycles() < 3'000'000 &&
-           legacy.advance(500'000) == MachineStatus::Running) {}
-    while (uop.cycles() < 3'000'000 &&
-           uop.advance(500'000) == MachineStatus::Running) {}
-
-    EXPECT_EQ(legacy.cycles(), uop.cycles());
-    EXPECT_EQ(rigA.writes, rigB.writes);
-    expectStatsEqual(legacy.stats(), uop.stats());
-}
 
 // ----------------------------------------------------------------
 // Load-time structural validation (hoisted srcFieldValid checks)

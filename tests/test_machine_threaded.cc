@@ -1,32 +1,35 @@
 /**
  * @file
- * Differential testing of the direct-threaded dispatch tier and the
- * fast-functional mode (machine/threaded.cc) against the µop tier.
+ * Differential testing of the µop core (machine/threaded.cc): with
+ * the cycle model (the Uop tier) against the word-walking reference,
+ * and without it (the fast-functional tier) against the Uop tier.
  *
- * The threaded tier is cycle-accurate: it must be bit-identical to
- * the µop tier in results, total cycle counts, and every statistic —
- * on random programs, under GC pressure, under fault injection, and
- * on the full ICD kernel — and its snapshots must be interchangeable
- * with µop snapshots. The fast-functional tier runs the same core
- * without the cycle model, so it is held to equality of the outcome
- * (status, diagnostic, value, and the I/O log) and of every
- * statistic outside the execution-cycle ledger whenever both runs
- * terminate. Every random-program differential here
- * runs the tier under test both in one advance() call and in short
- * advance() slices, so the cores' exit and re-entry paths are
- * exercised at step boundaries in every machine mode.
+ * The Uop tier is cycle-accurate: it must be bit-identical to the
+ * word-walking reference in results, total cycle counts, and every
+ * statistic — on random programs, under GC pressure, under fault
+ * injection, and on the full ICD kernel, trace events included —
+ * and its snapshots must restore under either name of the core. The
+ * fast-functional tier runs the same core without the cycle model,
+ * so it is held to equality of the outcome (status, diagnostic,
+ * value, and the I/O log) and of every statistic outside the
+ * execution-cycle ledger whenever both runs terminate. Every
+ * random-program differential here runs the tier under test both in
+ * one advance() call and in short advance() slices, so the core's
+ * exit and re-entry paths are exercised at step boundaries in every
+ * machine mode.
  */
 
 #include <gtest/gtest.h>
 
 #include "ecg/synth.hh"
-#include "fault/campaign.hh"
 #include "fuzz/genprog.hh"
 #include "icd/zarf_icd.hh"
 #include "isa/binary.hh"
 #include "isa/encoding.hh"
 #include "machine/machine.hh"
+#include "obs/trace.hh"
 #include "system/ports.hh"
+#include "zasm/zasm.hh"
 
 namespace zarf
 {
@@ -35,7 +38,7 @@ namespace
 
 /** Require every statistic but the execution-cycle ledger (the
  *  per-class cycles and execCycles) to be identical between two
- *  tiers. */
+ *  runs. */
 void
 expectCountersEqual(const MachineStats &a, const MachineStats &b)
 {
@@ -61,7 +64,7 @@ expectCountersEqual(const MachineStats &a, const MachineStats &b)
     EXPECT_EQ(a.gcMaxPauseCycles, b.gcMaxPauseCycles);
 }
 
-/** Require every statistic to be identical between two tiers. */
+/** Require every statistic to be identical between two runs. */
 void
 expectStatsEqual(const MachineStats &a, const MachineStats &b)
 {
@@ -151,33 +154,32 @@ class LogBus : public IoBus
 };
 
 void
-runThreadedDifferential(uint64_t seed, size_t semispaceWords,
-                        bool sliced)
+runUopDifferential(uint64_t seed, size_t semispaceWords, bool sliced)
 {
     Image img = randomImage(seed);
 
     LogBus busA;
-    Machine uop(img, busA, tierConfig(DispatchTier::Uop,
+    Machine ref(img, busA, tierConfig(DispatchTier::WordWalk,
                                       semispaceWords));
-    Machine::Outcome oa = uop.run();
+    Machine::Outcome oa = ref.run();
 
     LogBus busB;
-    Machine thr(img, busB, tierConfig(DispatchTier::Threaded,
+    Machine uop(img, busB, tierConfig(DispatchTier::Uop,
                                       semispaceWords));
-    Machine::Outcome ob = runMaybeSliced(thr, sliced);
+    Machine::Outcome ob = runMaybeSliced(uop, sliced);
 
     ASSERT_EQ(oa.status, ob.status)
-        << "uop: " << oa.diagnostic
-        << "\nthreaded: " << ob.diagnostic;
+        << "word-walk: " << oa.diagnostic
+        << "\nuop: " << ob.diagnostic;
     EXPECT_EQ(oa.diagnostic, ob.diagnostic);
-    EXPECT_EQ(uop.cycles(), thr.cycles());
+    EXPECT_EQ(ref.cycles(), uop.cycles());
     if (oa.status == MachineStatus::Done) {
         ASSERT_TRUE(oa.value && ob.value);
         EXPECT_TRUE(Value::equal(*oa.value, *ob.value))
-            << "uop:      " << oa.value->toString() << "\n"
-            << "threaded: " << ob.value->toString();
+            << "word-walk: " << oa.value->toString() << "\n"
+            << "uop:       " << ob.value->toString();
     }
-    expectStatsEqual(uop.stats(), thr.stats());
+    expectStatsEqual(ref.stats(), uop.stats());
     EXPECT_EQ(busA.ops, busB.ops);
 }
 
@@ -229,7 +231,7 @@ class ThreadedDifferential
 TEST_P(ThreadedDifferential, BitIdenticalOnRandomPrograms)
 {
     auto [seed, sliced] = GetParam();
-    runThreadedDifferential(seed, 1u << 20, sliced);
+    runUopDifferential(seed, 1u << 20, sliced);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -244,11 +246,11 @@ class ThreadedGcDifferential
 TEST_P(ThreadedGcDifferential, BitIdenticalUnderGcPressure)
 {
     // A heap barely above the safe-point margin forces frequent
-    // collections; the threaded tier's register-cached state must
-    // spill and reload around every GC so roots, copy order, and
-    // pause accounting match the µop tier exactly.
+    // collections; the core's register-cached state must spill and
+    // reload around every GC so roots, copy order, and pause
+    // accounting match the word-walking reference exactly.
     auto [seed, sliced] = GetParam();
-    runThreadedDifferential(seed, 3 * 4096, sliced);
+    runUopDifferential(seed, 3 * 4096, sliced);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -290,7 +292,7 @@ TEST(ThreadedEntry, ZeroBudgetIsNoOp)
     // counting a step, so advance(0) runs nothing, mid-run included.
     Image img = randomImage(9);
     for (DispatchTier t :
-         { DispatchTier::Threaded, DispatchTier::FastFunctional }) {
+         { DispatchTier::Uop, DispatchTier::FastFunctional }) {
         NullBus bus;
         Machine m(img, bus, tierConfig(t));
         m.advance(3);
@@ -305,8 +307,9 @@ TEST(ThreadedEntry, ZeroBudgetIsNoOp)
 }
 
 // ----------------------------------------------------------------
-// Fault injection: the tiers must agree bit-for-bit on what a
-// physical upset does, including the detection diagnostics.
+// Fault injection: the core and the reference must agree bit-for-bit
+// on what a physical upset does, including the detection
+// diagnostics.
 // ----------------------------------------------------------------
 
 TEST(ThreadedFault, HeapBitFlipBitIdentical)
@@ -314,21 +317,21 @@ TEST(ThreadedFault, HeapBitFlipBitIdentical)
     for (uint64_t seed : { 3u, 11u, 27u, 44u }) {
         Image img = randomImage(seed);
         NullBus busA, busB;
-        Machine uop(img, busA, tierConfig(DispatchTier::Uop));
-        Machine thr(img, busB, tierConfig(DispatchTier::Threaded));
+        Machine ref(img, busA, tierConfig(DispatchTier::WordWalk));
+        Machine uop(img, busB, tierConfig(DispatchTier::Uop));
 
         // Identical schedule on both machines: run a prefix, flip
         // the same heap bit, then run out.
-        for (Machine *m : { &uop, &thr }) {
+        for (Machine *m : { &ref, &uop }) {
             m->advance(2000);
             m->injectHeapBitFlip(size_t(seed * 13 + 5),
                                  unsigned(seed % 31));
             m->run();
         }
-        EXPECT_EQ(uop.status(), thr.status());
-        EXPECT_EQ(uop.diagnostic(), thr.diagnostic());
-        EXPECT_EQ(uop.cycles(), thr.cycles());
-        expectStatsEqual(uop.stats(), thr.stats());
+        EXPECT_EQ(ref.status(), uop.status());
+        EXPECT_EQ(ref.diagnostic(), uop.diagnostic());
+        EXPECT_EQ(ref.cycles(), uop.cycles());
+        expectStatsEqual(ref.stats(), uop.stats());
     }
 }
 
@@ -337,35 +340,36 @@ TEST(ThreadedFault, OperandBitFlipBitIdentical)
     for (uint64_t seed : { 7u, 19u, 52u }) {
         Image img = randomImage(seed);
         NullBus busA, busB;
-        Machine uop(img, busA, tierConfig(DispatchTier::Uop));
-        Machine thr(img, busB, tierConfig(DispatchTier::Threaded));
-        for (Machine *m : { &uop, &thr }) {
+        Machine ref(img, busA, tierConfig(DispatchTier::WordWalk));
+        Machine uop(img, busB, tierConfig(DispatchTier::Uop));
+        for (Machine *m : { &ref, &uop }) {
             m->advance(1500);
             m->injectOperandBitFlip(unsigned(seed % 32));
             m->run();
         }
-        EXPECT_EQ(uop.status(), thr.status());
-        EXPECT_EQ(uop.diagnostic(), thr.diagnostic());
-        EXPECT_EQ(uop.cycles(), thr.cycles());
-        expectStatsEqual(uop.stats(), thr.stats());
+        EXPECT_EQ(ref.status(), uop.status());
+        EXPECT_EQ(ref.diagnostic(), uop.diagnostic());
+        EXPECT_EQ(ref.cycles(), uop.cycles());
+        expectStatsEqual(ref.stats(), uop.stats());
     }
 }
 
 // ----------------------------------------------------------------
-// Snapshot/restore: µop and threaded snapshots are interchangeable;
-// the fast tier round-trips within its own family.
+// Snapshot/restore: Uop and Threaded name one core, so snapshots
+// restore under either name; the fast tier round-trips within its
+// own family.
 // ----------------------------------------------------------------
 
 TEST(ThreadedSnapshot, CrossTierRestoreBitIdentical)
 {
     Image img = randomImage(23);
     NullBus busA;
-    Machine uop(img, busA, tierConfig(DispatchTier::Uop));
-    Machine::Outcome straight = uop.run();
+    Machine ref(img, busA, tierConfig(DispatchTier::WordWalk));
+    Machine::Outcome straight = ref.run();
 
-    // µop snapshot mid-run -> threaded machine finishes it, and the
-    // other direction, both landing exactly where the straight µop
-    // run landed.
+    // A snapshot taken mid-run under one name and finished under the
+    // other, both ways, lands exactly where the straight run of the
+    // word-walking reference landed.
     for (DispatchTier src : { DispatchTier::Uop,
                               DispatchTier::Threaded }) {
         DispatchTier dst = src == DispatchTier::Uop
@@ -373,18 +377,18 @@ TEST(ThreadedSnapshot, CrossTierRestoreBitIdentical)
                                : DispatchTier::Uop;
         NullBus busS, busD;
         Machine source(img, busS, tierConfig(src));
-        source.advance(uop.cycles() / 2);
+        source.advance(ref.cycles() / 2);
         auto snap = source.snapshot();
         Machine fork(img, busD, tierConfig(dst));
         fork.restore(*snap);
         Machine::Outcome out = fork.run();
         EXPECT_EQ(out.status, straight.status);
-        EXPECT_EQ(fork.cycles(), uop.cycles());
+        EXPECT_EQ(fork.cycles(), ref.cycles());
         if (straight.status == MachineStatus::Done) {
             ASSERT_TRUE(out.value && straight.value);
             EXPECT_TRUE(Value::equal(*out.value, *straight.value));
         }
-        expectStatsEqual(fork.stats(), uop.stats());
+        expectStatsEqual(fork.stats(), ref.stats());
     }
 }
 
@@ -418,8 +422,8 @@ TEST(ThreadedSnapshotDeathTest, CrossFamilyRestoreIsFatal)
     Machine fast(img, busA, tierConfig(DispatchTier::FastFunctional));
     fast.advance(1000);
     auto snap = fast.snapshot();
-    Machine thr(img, busB, tierConfig(DispatchTier::Threaded));
-    EXPECT_DEATH(thr.restore(*snap), "dispatch tier mismatch");
+    Machine uop(img, busB, tierConfig(DispatchTier::Uop));
+    EXPECT_DEATH(uop.restore(*snap), "dispatch tier mismatch");
 }
 
 // ----------------------------------------------------------------
@@ -453,6 +457,23 @@ class BusyRig : public IoBus
     std::vector<std::pair<SWord, SWord>> writes;
 };
 
+/** Every field of two recorded event windows, oldest first. */
+void
+expectEventsEqual(const obs::Recorder &a, const obs::Recorder &b)
+{
+    EXPECT_EQ(a.emitted(), b.emitted());
+    EXPECT_EQ(a.dropped(), b.dropped());
+    ASSERT_EQ(a.size(), b.size());
+    for (size_t i = 0; i < a.size(); ++i) {
+        const obs::Event &x = a.at(i);
+        const obs::Event &y = b.at(i);
+        ASSERT_TRUE(x.kind == y.kind && x.ts == y.ts && x.a == y.a &&
+                    x.b == y.b)
+            << "event " << i << ": " << obs::eventName(x.kind) << "@"
+            << x.ts << " vs " << obs::eventName(y.kind) << "@" << y.ts;
+    }
+}
+
 TEST(ThreadedIcd, KernelTraceBitIdentical)
 {
     // Include a VT episode so therapy paths execute in both runs.
@@ -462,17 +483,27 @@ TEST(ThreadedIcd, KernelTraceBitIdentical)
                               42);
     BusyRig rigA(heartA), rigB(heartB);
     Image img = icd::buildKernelImage();
-    Machine uop(img, rigA, tierConfig(DispatchTier::Uop));
-    Machine thr(img, rigB, tierConfig(DispatchTier::Threaded));
+    // Every machine event category; the ring keeps the newest 64Ki
+    // events of each run, and the emitted/dropped counts cover the
+    // rest.
+    obs::Recorder recA(obs::TraceConfig{ 1u << 16, obs::kAllCats });
+    obs::Recorder recB(obs::TraceConfig{ 1u << 16, obs::kAllCats });
+    MachineConfig cfgA = tierConfig(DispatchTier::WordWalk);
+    cfgA.trace = &recA;
+    MachineConfig cfgB = tierConfig(DispatchTier::Uop);
+    cfgB.trace = &recB;
+    Machine ref(img, rigA, cfgA);
+    Machine uop(img, rigB, cfgB);
 
+    while (ref.cycles() < 3'000'000 &&
+           ref.advance(500'000) == MachineStatus::Running) {}
     while (uop.cycles() < 3'000'000 &&
            uop.advance(500'000) == MachineStatus::Running) {}
-    while (thr.cycles() < 3'000'000 &&
-           thr.advance(500'000) == MachineStatus::Running) {}
 
-    EXPECT_EQ(uop.cycles(), thr.cycles());
+    EXPECT_EQ(ref.cycles(), uop.cycles());
     EXPECT_EQ(rigA.writes, rigB.writes);
-    expectStatsEqual(uop.stats(), thr.stats());
+    expectStatsEqual(ref.stats(), uop.stats());
+    expectEventsEqual(recA, recB);
 }
 
 TEST(ThreadedIcd, KernelOutputFastMatches)
@@ -500,24 +531,43 @@ TEST(ThreadedIcd, KernelOutputFastMatches)
 }
 
 // ----------------------------------------------------------------
-// Campaign tier invariance: verdicts (and the JSON they render to)
-// must not depend on the dispatch tier.
+// Export: the deep-force after Done runs on the tier's own clock.
 // ----------------------------------------------------------------
 
-TEST(ThreadedCampaign, VerdictsTierInvariant)
+TEST(ThreadedExport, FastExportChargesNoCycles)
 {
-    fault::CampaignConfig base;
-    base.scenarios = 44; // one full pass over the scenario space
-    base.threads = 2;
-    base.sinusSeconds = 0.35;
-    base.vtSeconds = 0.35;
+    // The exported Pair's fields are thunks, so the deep-force runs
+    // real steps after Done. On the step clock they count steps and
+    // leave the execution-cycle ledger where advance() left it.
+    Image img = encodeProgram(assembleOrDie(R"(
+con Pair a b
 
-    fault::CampaignConfig threaded = base;
-    threaded.lambdaTier = DispatchTier::Threaded;
-
-    fault::CampaignReport a = fault::runCampaign(base);
-    fault::CampaignReport b = fault::runCampaign(threaded);
-    EXPECT_EQ(a.toJson(), b.toJson());
+fun main =
+  let x = add 2 3
+  let y = mul x 7
+  let r = Pair x y
+  result r
+)"));
+    NullBus bus;
+    Machine m(img, bus, tierConfig(DispatchTier::FastFunctional));
+    ASSERT_EQ(m.advance(1'000'000), MachineStatus::Done);
+    const Cycles atDone = m.cycles();
+    const MachineStats before = m.stats();
+    Machine::Outcome o = m.run(0);
+    ASSERT_EQ(o.status, MachineStatus::Done) << o.diagnostic;
+    ASSERT_TRUE(o.value);
+    EXPECT_TRUE(Value::equal(
+        *o.value, *Value::makeCons(Program::idOf(0),
+                                   { Value::makeInt(5),
+                                     Value::makeInt(35) })))
+        << o.value->toString();
+    EXPECT_GT(m.cycles(), atDone); // the export's steps
+    const MachineStats &after = m.stats();
+    EXPECT_EQ(after.execCycles, before.execCycles);
+    EXPECT_EQ(after.let.cycles, before.let.cycles);
+    EXPECT_EQ(after.caseInstr.cycles, before.caseInstr.cycles);
+    EXPECT_EQ(after.result.cycles, before.result.cycles);
+    EXPECT_GT(after.forces, before.forces);
 }
 
 } // namespace

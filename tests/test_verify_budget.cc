@@ -164,7 +164,6 @@ tierConfig(DispatchTier tier, Budget *budget,
 constexpr DispatchTier kCycleAccurate[] = {
     DispatchTier::WordWalk,
     DispatchTier::Uop,
-    DispatchTier::Threaded,
 };
 
 /** The canonical long-running programs (tests/common/testprogs.hh).
@@ -410,13 +409,12 @@ TEST(MachineBudget, CancelBeforeRestoredRunAbortsWithoutProgress)
 
 TEST(MachineBudget, CancelInThreadedBatchedWindowStopsAtSyncPoint)
 {
-    // Satellite (c), the threaded tier's batched cycle-charge
-    // window: a pre-raised cancel aborts before the first chunk, so
-    // the machine clock never moves past the construction-time
-    // load+boot point and the verdict matches every other tier's.
+    // The µop core's batched cycle-charge window: a pre-raised
+    // cancel aborts before the first chunk, so the machine clock
+    // never moves past the construction-time load+boot point and the
+    // verdict matches the word-walking reference's.
     Image img = budgetTestImage(9);
-    for (DispatchTier tier :
-         { DispatchTier::Uop, DispatchTier::Threaded }) {
+    for (DispatchTier tier : kCycleAccurate) {
         Budget bud;
         bud.cancel();
         NullBus bus;
