@@ -680,6 +680,8 @@ class Machine::Impl
     {
         return [this](const Heap::RootVisitor &visit) {
             visit(vreg);
+            for (Word &w : exportPending)
+                visit(w);
             for (Word &w : act.args)
                 visit(w);
             for (Word &w : act.locals)
@@ -1359,6 +1361,8 @@ class Machine::Impl
     {
         return [this](const Heap::RootVisitor &visit) {
             visit(vreg);
+            for (Word &w : exportPending)
+                visit(w);
             for (Word &w : act.args)
                 visit(w);
             for (Word &w : act.locals)
@@ -1419,17 +1423,24 @@ class Machine::Impl
         Word addr = mval::refOf(v);
         Word h = heap.header(addr);
         Word n = mhdr::argsOf(h);
-        std::vector<Word> raw;
-        for (Word i = 0; i < n; ++i)
-            raw.push_back(heap.payload(addr, i));
         Word fn = mhdr::fnOf(h);
         bool cons = mhdr::kindOf(h) == ObjKind::Cons;
+        // The fields still to force are GC roots, pushed last field
+        // first: a collection during one field's force moves the
+        // later ones, and each is popped from where it lives now.
+        size_t base = exportPending.size();
+        for (Word i = n; i-- > 0;)
+            exportPending.push_back(heap.payload(addr, i));
         std::vector<ValuePtr> items;
-        items.reserve(raw.size());
-        for (Word w : raw) {
+        items.reserve(n);
+        while (exportPending.size() > base) {
+            Word w = exportPending.back();
+            exportPending.pop_back();
             ValuePtr f = exportValue(w, depth + 1);
-            if (!f)
+            if (!f) {
+                exportPending.resize(base);
                 return nullptr;
+            }
             items.push_back(std::move(f));
         }
         return cons ? Value::makeCons(fn, std::move(items))
@@ -1504,6 +1515,9 @@ class Machine::Impl
     Cycles lastGcAt = 0;
     /** Inside forceForExport (see noteStatus and advanceTo). */
     bool exporting = false;
+    /** Constructor fields exportValue has yet to force (GC roots in
+     *  both root providers; empty outside an export). */
+    std::vector<Word> exportPending;
 
     // Observability (cached from cfg at construction; see charge()).
     obs::Recorder *trace = nullptr;

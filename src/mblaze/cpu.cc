@@ -18,8 +18,32 @@ MbStatus
 MbCpu::advance(Cycles budget)
 {
     Cycles target = total + budget;
-    while (st == MbStatus::Running && total < target)
+    // The last loop head (see the header): its pc, registers and
+    // counters.
+    bool haveHead = false;
+    size_t headPc = 0;
+    std::array<SWord, kNumRegs> headRegs{};
+    Cycles headTotal = 0;
+    uint64_t headRetired = 0;
+    while (st == MbStatus::Running && total < target) {
+        size_t from = pc;
         step();
+        if (pc > from || st != MbStatus::Running || traceOn)
+            continue;
+        if (haveHead && !effect && pc == headPc && regs == headRegs &&
+            total > headTotal && total < target) {
+            Cycles period = total - headTotal;
+            uint64_t k = (target - total) / period;
+            retired += k * (retired - headRetired);
+            total += k * period;
+        }
+        haveHead = true;
+        headPc = pc;
+        headRegs = regs;
+        headTotal = total;
+        headRetired = retired;
+        effect = false;
+    }
     return st;
 }
 
@@ -155,6 +179,7 @@ MbCpu::step()
             return;
         }
         dmem[size_t(addr)] = regs[ins.rd];
+        effect = true;
         break;
       }
 
@@ -202,6 +227,8 @@ MbCpu::step()
         break;
 
       case Opc::In: {
+        if (!bus.quietRead(ins.imm))
+            effect = true;
         SWord v = bus.getInt(ins.imm);
         wr(v);
         cost += timing.ioExtra;
@@ -213,6 +240,7 @@ MbCpu::step()
       }
       case Opc::Out:
         bus.putInt(ins.imm, regs[ins.rd]);
+        effect = true;
         cost += timing.ioExtra;
         if (traceOn)
             emitMb(obs::EventKind::MbOut,

@@ -101,7 +101,24 @@ class MbCpu
     MbCpu(MbProgram program, IoBus &bus,
           size_t memWords = 1u << 16, MbTiming timing = {});
 
-    /** Run until halt/fault or `budget` more cycles pass. */
+    /**
+     * Run until halt/fault or `budget` more cycles pass.
+     *
+     * Idle poll loops are fast-forwarded, exactly. Every taken
+     * backward control transfer (a branch, `j`, `jal` or `jr` whose
+     * target is at or before its own pc) lands on a loop head. If a
+     * head has the previous head's pc and registers, and nothing in
+     * between had an effect (an `sw`, an `out`, or an `in` the bus
+     * did not report as IoBus::quietRead), the next iteration
+     * repeats the last one: memory and bus are unchanged too. The
+     * whole iterations left before the budget runs out are then
+     * added to cycles() and instructionsRetired() at once, and the
+     * remainder is stepped, so every slice ends in the state
+     * stepping reaches. The head is forgotten at each entry, because
+     * setMem(), restore() and the bus's other users act only between
+     * calls. A recorder that wants obs::Cat::Mblaze turns skipping
+     * off, so every MbIn/MbBranch event is emitted.
+     */
     MbStatus advance(Cycles budget);
 
     /** Run to completion (bounded); returns final status. */
@@ -175,6 +192,9 @@ class MbCpu
     MbFaultInfo fault{};
     Cycles total = 0;
     uint64_t retired = 0;
+    /** step() sets this on an `sw`, an `out` or a non-quiet `in`;
+     *  advance() clears it at each loop head. */
+    bool effect = false;
 
     // Observability (setTrace).
     obs::Recorder *trace = nullptr;

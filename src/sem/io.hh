@@ -32,6 +32,18 @@ class IoBus
 
     /** Write one word to a port (the putint primitive). */
     virtual void putInt(SWord port, SWord value) = 0;
+
+    /**
+     * Is a read of this port quiet right now? Quiet means the read
+     * changes no bus state, and the port returns the same word
+     * until the reader writes or makes a non-quiet read: nothing
+     * else moves the bus during one of the reader's advance calls.
+     * The imperative core fast-forwards a poll loop whose reads are
+     * all quiet (mblaze::MbCpu::advance). A bus that cannot promise
+     * this keeps the default, and its readers step every
+     * instruction.
+     */
+    virtual bool quietRead(SWord) const { return false; }
 };
 
 /** A bus where every read returns zero and writes are dropped. */

@@ -150,6 +150,22 @@ TwoLayerSystem::MbBus::putInt(SWord port, SWord value)
         sys.diagResps.push_back(value);
 }
 
+bool
+TwoLayerSystem::MbBus::quietRead(SWord port) const
+{
+    // The queues change only between monitor slices: the λ-layer,
+    // the fallback detector, faults and resync commands all run
+    // outside advanceMonitor.
+    switch (port) {
+      case kMbChanData:
+        return sys.channel.empty();
+      case kMbDiagCmd:
+        return sys.diagCmds.empty();
+      default:
+        return true;
+    }
+}
+
 SWord
 TwoLayerSystem::ecgRead()
 {

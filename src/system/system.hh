@@ -473,6 +473,7 @@ class TwoLayerSystem
         explicit MbBus(TwoLayerSystem &sys) : sys(sys) {}
         SWord getInt(SWord port) override;
         void putInt(SWord port, SWord value) override;
+        bool quietRead(SWord port) const override;
 
       private:
         TwoLayerSystem &sys;

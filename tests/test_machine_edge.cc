@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include "common/testprogs.hh"
+#include "ir/eval.hh"
+#include "ir/lift.hh"
 #include "machine/machine.hh"
 #include "zasm/zasm.hh"
 
@@ -261,6 +263,66 @@ fun main =
 )");
     ASSERT_EQ(o.status, MachineStatus::Done);
     EXPECT_EQ(o.value->intVal(), -1);
+}
+
+// Export forces a constructor's fields one after another. A
+// collection during the first field's force moves the second, still
+// a thunk; export must read it from where it lives now, not from
+// the address it had before the force.
+void
+exportUnderGc(DispatchTier tier)
+{
+    Image img = encodeProgram(assembleOrDie(R"(
+con Pair a b
+fun main =
+  let s = spin 20000
+  let t = add 1 2
+  let p = Pair s t
+  result p
+fun spin n =
+  case n of
+    0 =>
+      result 7
+  else
+    let n' = sub n 1
+    let r = spin n'
+    result r
+)"));
+    MachineConfig cfg;
+    cfg.semispaceWords = 3 * 4096;
+    cfg.tier = tier;
+    NullBus bus;
+    Machine m(img, bus, cfg);
+    Machine::Outcome o = m.run();
+    ASSERT_EQ(o.status, MachineStatus::Done) << o.diagnostic;
+    // (Pair 7 3)
+    ASSERT_TRUE(o.value->isCons());
+    ASSERT_EQ(o.value->items().size(), 2u);
+    EXPECT_EQ(o.value->items()[0]->intVal(), 7);
+    EXPECT_EQ(o.value->items()[1]->intVal(), 3);
+    EXPECT_GT(m.stats().gcRuns, 1u);
+
+    ir::LiftResult lift = ir::liftImage(img);
+    ASSERT_TRUE(lift.ok) << lift.error;
+    ir::EvalConfig ic;
+    ic.maxCycles = 2'000'000'000ull;
+    NullBus irBus;
+    ir::Outcome io = ir::evalModule(lift.module, irBus, ic);
+    ASSERT_EQ(io.status, ir::Outcome::Status::Done) << io.diagnostic;
+    EXPECT_TRUE(Value::equal(*o.value, *io.value))
+        << "machine: " << o.value->toString() << "\n"
+        << "ir:      " << io.value->toString();
+    EXPECT_EQ(m.cycles(), io.cycles);
+}
+
+TEST(MachineEdge, ExportReadsLaterFieldsAfterGcWordWalk)
+{
+    exportUnderGc(DispatchTier::WordWalk);
+}
+
+TEST(MachineEdge, ExportReadsLaterFieldsAfterGcUop)
+{
+    exportUnderGc(DispatchTier::Uop);
 }
 
 } // namespace
