@@ -95,6 +95,30 @@ Heap::chaseSlow(Word value) const
 }
 
 void
+Heap::replayPeriods(const std::vector<Word> &block,
+                    const std::vector<std::pair<Word, Word>> &changed,
+                    Word young, uint64_t k)
+{
+    Word d = static_cast<Word>(block.size());
+    for (uint64_t i = 1; i <= k; ++i) {
+        Word by = static_cast<Word>(i * d);
+        Word *dst = mem + allocPtr + (i - 1) * d;
+        for (Word j = 0; j < d; ++j)
+            dst[j] = mval::shifted(block[j], young, by);
+        for (const auto &[addr, v] : changed) {
+            if (addr >= young)
+                mem[addr + by] = mval::shifted(v, young, by);
+        }
+    }
+    Word all = static_cast<Word>(k * d);
+    for (const auto &[addr, v] : changed) {
+        if (addr < young)
+            mem[addr] = mval::shifted(v, young, all);
+    }
+    allocPtr += all;
+}
+
+void
 Heap::flipBit(size_t offset, unsigned bit)
 {
     if (usedWords() == 0)

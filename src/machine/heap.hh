@@ -48,6 +48,7 @@
 #define ZARF_MACHINE_HEAP_HH
 
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "machine/stats.hh"
@@ -83,6 +84,15 @@ intOf(Word w)
 
 inline Word mkRef(Word addr) { return addr | kRefBit; }
 inline Word refOf(Word w) { return w & 0x7fffffffu; }
+
+/** `w` with a reference at or above address `young` moved up by
+ *  `by` words; integers and older references unchanged (the λ
+ *  core's idle-poll relocation, Heap::replayPeriods). */
+inline Word
+shifted(Word w, Word young, Word by)
+{
+    return isRef(w) && refOf(w) >= young ? w + by : w;
+}
 
 } // namespace mval
 
@@ -237,6 +247,30 @@ class Heap
             p += 1 + mhdr::countOf(h);
         }
     }
+
+    /** The address the next allocation gets. */
+    size_t top() const { return allocPtr; }
+    /** Read any word of the store, object boundary or not. */
+    Word word(size_t addr) const { return mem[addr]; }
+
+    /**
+     * Replay `k` more periods of a steady allocation pattern (the λ
+     * core's idle-poll fast-forward, docs/PERF.md "Idle poll
+     * loops"). `block` holds the Δ words the observed period
+     * allocated, as they stood at its end, and `changed` the
+     * (address, value) pairs it left in objects older than the
+     * period. Period i (1..k) writes the block at top() + (i−1)Δ and
+     * each changed word at address + iΔ, every reference at or above
+     * `young` shifted by iΔ; a changed address below `young` is
+     * written in place each period, so it ends holding its value
+     * shifted by kΔ. The periods are written in order, as stepping
+     * writes them. The allocation pointer moves by kΔ and nothing is
+     * counted (the caller adds the period's statistics). The caller
+     * guarantees that the k blocks fit below the limit.
+     */
+    void replayPeriods(const std::vector<Word> &block,
+                       const std::vector<std::pair<Word, Word>> &changed,
+                       Word young, uint64_t k);
 
     /** Words currently allocated in the active space. */
     size_t usedWords() const { return allocPtr - base; }

@@ -8,8 +8,9 @@
  * over the same architectural state that runs the µop tier (with the
  * cycle model) and the fast-functional tier (without it); machine.cc
  * holds the public wrappers and snapshots. This header is internal
- * to src/machine — nothing outside the library may include it; the
- * public surface is machine/machine.hh.
+ * to src/machine — nothing outside the library may include it but
+ * white-box tests that read a snapshot's fields; the public surface
+ * is machine/machine.hh.
  */
 
 #ifndef ZARF_MACHINE_MACHINE_IMPL_HH
@@ -515,10 +516,31 @@ class Machine::Impl
         }
 
         Frame &top() { return store[n - 1]; }
-        void pop() { --n; }
+        void
+        pop()
+        {
+            if (--n < low)
+                low = n;
+        }
         bool empty() const { return n == 0; }
         size_t size() const { return n; }
         Frame &operator[](size_t i) { return store[i]; }
+
+        /** The low-water mark of the µop core's idle-poll skip: the
+         *  fewest frames held since resetLow(). The frames below it
+         *  were neither popped nor rewritten since; of them, only
+         *  the kind of the one just below can have been read, and a
+         *  live frame's kind never changes. */
+        size_t lowWater() const { return low; }
+        void resetLow() { low = n; }
+        /** The top frame is rewritten in place (a primitive collects
+         *  an operand and stays), which counts as a pop. */
+        void
+        touchTop()
+        {
+            if (n - 1 < low)
+                low = n - 1;
+        }
 
         /** Copy the live frames (snapshot); stale pool slots above
          *  size() are not part of the machine state. */
@@ -541,6 +563,7 @@ class Machine::Impl
       private:
         std::vector<Frame> store;
         size_t n = 0;
+        size_t low = 0;
     };
 
     enum class Mode { EvalVal, Exec, Deliver };
@@ -646,6 +669,95 @@ class Machine::Impl
     // ============================================================
 
     template <bool kCycleModel> void advanceThreaded(Cycles target);
+
+    // ------------------------------------------------------------
+    // Idle-poll fast-forward of the µop core (threaded.cc,
+    // docs/PERF.md "Idle poll loops")
+    // ------------------------------------------------------------
+
+    /** Give up arming past this many reachable objects, object
+     *  words, or register and frame value words. */
+    static constexpr size_t kPollMaxObjects = 32;
+    static constexpr size_t kPollMaxWords = 1024;
+
+    /** The MachineStats counters a step can move. The GC fields move
+     *  only in a collection, loadCycles only at load, and the µop
+     *  path keeps callsPerFunc in callCounts. */
+    template <typename F>
+    static void
+    forEachStepCounter(MachineStats &s, F &&f)
+    {
+        for (ClassStats *c : { &s.let, &s.caseInstr, &s.result }) {
+            f(c->count);
+            f(c->cycles);
+        }
+        for (uint64_t *p :
+             { &s.branchHeads, &s.letArgs, &s.allocations,
+               &s.allocatedWords, &s.forces, &s.whnfHits, &s.updates,
+               &s.errorsCreated, &s.execCycles })
+            f(*p);
+    }
+
+    /**
+     * The state an iteration between two loop heads can read: the
+     * activation, the value register, and every word of the frames
+     * from `floor` up. raw(w) receives the words compared exactly
+     * (identifiers, pcs, sizes, kinds, collected operands); val(w)
+     * the value words, as a reference it may relocate (an Update
+     * frame's target goes through as a reference too).
+     */
+    template <typename Raw, typename Val>
+    void
+    forEachPollWord(size_t floor, Raw &&raw, Val &&val)
+    {
+        auto activation = [&](Activation &a) {
+            raw(a.funcId);
+            raw(static_cast<Word>(a.pc));
+            raw(static_cast<Word>(a.args.size()));
+            raw(static_cast<Word>(a.locals.size()));
+            for (Word &w : a.args)
+                val(w);
+            for (Word &w : a.locals)
+                val(w);
+        };
+        activation(act);
+        val(vreg);
+        for (size_t i = floor; i < conts.size(); ++i) {
+            Frame &f = conts[i];
+            raw(static_cast<Word>(f.kind));
+            switch (f.kind) {
+              case Frame::Kind::Update: {
+                Word r = mval::mkRef(f.target);
+                val(r);
+                f.target = mval::refOf(r);
+                break;
+              }
+              case Frame::Kind::Case:
+                activation(f.act);
+                break;
+              case Frame::Kind::PrimArgs:
+                raw(static_cast<Word>(f.prim));
+                raw(static_cast<Word>(f.nextArg));
+                raw(static_cast<Word>(f.primArgs.size()));
+                raw(static_cast<Word>(f.collected.size()));
+                for (SWord c : f.collected)
+                    raw(static_cast<Word>(c));
+                for (Word &w : f.primArgs)
+                    val(w);
+                break;
+              case Frame::Kind::Apply:
+                raw(static_cast<Word>(f.extra.size()));
+                for (Word &w : f.extra)
+                    val(w);
+                break;
+            }
+        }
+    }
+
+    void pollHead(Cycles target, size_t prevTop, Cycles gcInt);
+    void pollArm(size_t prevTop);
+    uint64_t pollPeriods(Cycles target, Cycles gcInt);
+    void pollReplay(uint64_t k);
 
     // ------------------------------------------------------------
     // Identifier metadata (resolved once, in the LoadedImage)
@@ -1472,6 +1584,7 @@ class Machine::Impl
     void
     syncStats() const
     {
+        ++statsFolds;
         for (size_t i = 0; i < callCounts.size(); ++i) {
             if (callCounts[i]) {
                 machineStats.callsPerFunc[Word(kFirstUserFuncId + i)] +=
@@ -1518,6 +1631,36 @@ class Machine::Impl
     /** Constructor fields exportValue has yet to force (GC roots in
      *  both root providers; empty outside an export). */
     std::vector<Word> exportPending;
+
+    /**
+     * The µop core's idle-poll skip (threaded.cc): the armed loop
+     * head, the inputs of the iteration it began, and scratch for
+     * checking and replaying that iteration. Host-side only: no part
+     * of the machine state or of a snapshot, disarmed at every
+     * advance entry, and empty until a poll loop first arms it.
+     */
+    struct PollSkip
+    {
+        bool armed = false;
+        size_t floor = 0; ///< Frames below it are no input.
+        Word young = 0;   ///< τ moves references at or above it.
+        size_t top = 0;   ///< Heap top at the armed head.
+        Cycles total = 0; ///< Clock at the armed head.
+        uint64_t gcRuns = 0;
+        uint64_t folds = 0;
+        std::vector<Word> raw, vals; ///< forEachPollWord's words.
+        std::vector<Word> objAddr;   ///< The reachable objects...
+        std::vector<Word> objWords;  ///< ...and their words, in turn.
+        std::vector<uint64_t> counters; ///< forEachStepCounter's.
+        std::vector<uint64_t> calls;    ///< callCounts at the head.
+        std::vector<uint64_t> tallyAt; ///< Visits, then cycles.
+        // Scratch of the check and the replay.
+        std::vector<Word> raw2, vals2, block;
+        std::vector<std::pair<Word, Word>> changed;
+    } poll;
+    /** Folds of callCounts into the stats map (syncStats): a fold
+     *  between two loop heads voids the period's call deltas. */
+    mutable uint64_t statsFolds = 0;
 
     // Observability (cached from cfg at construction; see charge()).
     obs::Recorder *trace = nullptr;

@@ -37,6 +37,28 @@
  *
  * Both are member functions of Machine::Impl (machine/machine_impl.hh),
  * selected through MachineConfig::tier.
+ *
+ * Both instantiations fast-forward idle poll loops, exactly
+ * (docs/PERF.md, "Idle poll loops"). A loop head is a call entry.
+ * When two consecutive heads enter the same function at the same
+ * frame depth and the iteration between them read the bus only
+ * quietly (IoBus::quietRead) and had no effect (no `putint`, `gc` or
+ * collection), the second head copies the iteration's inputs: the
+ * registers, the frames above the iteration's low-water mark, and
+ * the heap objects reachable from them. At the next head those
+ * inputs must equal the copy under τ, which moves every reference
+ * into the last iteration's allocations by this iteration's heap
+ * growth Δ. The core decides nothing on an address but the free
+ * space and the GC interval, so every later iteration is then τ of
+ * this one until a bound falls due. The replay repeats that observed
+ * effect k times (its new words, the words it changed in the copied
+ * objects, the relocated registers and frames, and k times each
+ * counter's delta), stopping before the cycle target, the GC safe
+ * margin and the GC interval, and the core steps the rest. It
+ * interprets no instruction. Skipping is off while the recorder
+ * wants MachineExec events and during deep-force export; the
+ * word-walk tier and the IR evaluator never skip and stay the
+ * stepped references.
  */
 
 #include "machine/machine_impl.hh"
@@ -310,6 +332,19 @@ Machine::Impl::advanceThreaded(Cycles target)
         break;
     }
 
+    // The idle-poll skip (pollHead below): the last loop head of
+    // this call (function, frame depth, heap top), and whether the
+    // iteration since made a quiet read and no effect. The armed
+    // head is forgotten at every entry: faults, restores and
+    // collectNow() act only between calls.
+    const bool skipOn = !traceExec && !exporting;
+    Word headFn = 0;
+    size_t headDepth = SIZE_MAX;
+    size_t headTop = 0;
+    bool quiet = false;
+    bool effect = false;
+    poll.armed = false;
+
     // Allocation helpers over the locals (the word-walking path's
     // allocAppRef/allocConsRef/allocAppVRef/allocErrorRef with the
     // identical charge sequence, over scratch spans).
@@ -492,7 +527,29 @@ L_eval:
         act.locals.clear();
         act.pc = funcs[idx].bodyBegin;
     }
-    NEXT(L_exec, Exec);
+    // A loop head: a call entry at a step boundary. It is steady when
+    // the last head entered the same function at the same depth and
+    // the iteration between them made a quiet read and no effect.
+    if constexpr (!kCycleModel)
+        ++tot;
+    if (skipOn) {
+        if (act.funcId == headFn && conts.size() == headDepth && quiet &&
+            !effect) {
+            mode = Mode::Exec;
+            SYNC();
+            pollHead(target, headTop, kCycleModel ? gcInt : 0);
+            RELOAD();
+        } else {
+            poll.armed = false;
+        }
+        headFn = act.funcId;
+        headDepth = conts.size();
+        headTop = heap.top();
+        quiet = false;
+        effect = false;
+        conts.resetLow();
+    }
+    ENTER(L_exec, Exec);
 
     // ------------------------------------------------------------
     // Exec: fetch and token-dispatch
@@ -709,6 +766,7 @@ D_prim:
         f.collected.push_back(mval::intOf(v));
         f.nextArg++;
         if (f.nextArg < f.primArgs.size()) {
+            conts.touchTop();
             vr = f.primArgs[f.nextArg];
             NEXT(L_eval, EvalVal);
         }
@@ -722,15 +780,23 @@ D_prim:
             // Bus handlers may read cycles() (the system layer stamps
             // IO with the λ clock), so flush the cached clock first.
             SYNC();
+            if (skipOn) {
+                if (bus.quietRead(f.collected[0]))
+                    quiet = true;
+                else
+                    effect = true;
+            }
             vr = mval::mkInt(wrapInt31(bus.getInt(f.collected[0])));
             break;
           case Prim::PutInt:
             CHARGE(tm.ioOp, EvIoOp);
             SYNC();
+            effect = true;
             bus.putInt(f.collected[0], f.collected[1]);
             vr = mval::mkInt(f.collected[1]);
             break;
           case Prim::InvokeGc:
+            effect = true;
             mode = Mode::Deliver;
             SYNC();
             runGc(rootProviderU());
@@ -807,5 +873,190 @@ D_apply:
 
 template void Machine::Impl::advanceThreaded<true>(Cycles target);
 template void Machine::Impl::advanceThreaded<false>(Cycles target);
+
+// ================================================================
+// The idle-poll skip. Called at a steady loop head H′ with the
+// members synced; arms the head H before it, or checks and replays
+// the iteration H → H′.
+// ================================================================
+
+void
+Machine::Impl::pollHead(Cycles target, size_t prevTop, Cycles gcInt)
+{
+    if (poll.armed && conts.lowWater() >= poll.floor &&
+        machineStats.gcRuns == poll.gcRuns && statsFolds == poll.folds) {
+        uint64_t k = pollPeriods(target, gcInt);
+        if (k) {
+            pollReplay(k);
+            poll.armed = false;
+            return;
+        }
+    }
+    pollArm(prevTop);
+}
+
+/** Copy the inputs of the iteration starting at this head: the
+ *  registers, the frames above the last iteration's low-water mark,
+ *  and the heap objects reachable from them (a bounded walk); the
+ *  references τ will move are those into the last iteration's
+ *  allocations, from `prevTop` up. */
+void
+Machine::Impl::pollArm(size_t prevTop)
+{
+    PollSkip &ps = poll;
+    ps.armed = false;
+    ps.floor = conts.lowWater();
+    ps.top = heap.top();
+    ps.young = static_cast<Word>(std::min(prevTop, ps.top));
+    ps.total = total;
+    ps.gcRuns = machineStats.gcRuns;
+    ps.folds = statsFolds;
+    ps.raw.clear();
+    ps.vals.clear();
+    forEachPollWord(
+        ps.floor, [&](Word w) { ps.raw.push_back(w); },
+        [&](Word &w) { ps.vals.push_back(w); });
+    if (ps.vals.size() > kPollMaxWords)
+        return;
+
+    ps.objAddr.clear();
+    ps.objWords.clear();
+    auto reach = [&](Word w) {
+        if (mval::isInt(w))
+            return true;
+        Word a = mval::refOf(w);
+        if (std::find(ps.objAddr.begin(), ps.objAddr.end(), a) !=
+            ps.objAddr.end())
+            return true;
+        if (a >= ps.top || ps.objAddr.size() == kPollMaxObjects)
+            return false;
+        size_t n = 1 + mhdr::countOf(heap.word(a));
+        if (a + n > ps.top || ps.objWords.size() + n > kPollMaxWords)
+            return false;
+        ps.objAddr.push_back(a);
+        for (size_t j = 0; j < n; ++j)
+            ps.objWords.push_back(heap.word(a + j));
+        return true;
+    };
+    for (Word w : ps.vals) {
+        if (!reach(w))
+            return;
+    }
+    for (size_t i = 0; i < ps.objWords.size(); ++i) {
+        if (!reach(ps.objWords[i]))
+            return;
+    }
+
+    ps.counters.clear();
+    forEachStepCounter(machineStats,
+                       [&](uint64_t &v) { ps.counters.push_back(v); });
+    ps.calls.assign(callCounts.begin(), callCounts.end());
+    if (tallyOn) {
+        ps.tallyAt.assign(tally.visits.begin(), tally.visits.end());
+        ps.tallyAt.insert(ps.tallyAt.end(), tally.cycles.begin(),
+                          tally.cycles.end());
+    }
+    ps.armed = true;
+}
+
+/** The periods the armed iteration may be replayed from here, or 0.
+ *  Every input word must now equal τ of its copy, τ moving the
+ *  young references by this iteration's heap growth Δ; and no
+ *  collection (exhaustion within the safe margin, or the interval)
+ *  nor the cycle target may fall inside the replayed periods. */
+uint64_t
+Machine::Impl::pollPeriods(Cycles target, Cycles gcInt)
+{
+    PollSkip &ps = poll;
+    if (total <= ps.total)
+        return 0;
+    Word d = static_cast<Word>(heap.top() - ps.top);
+    Cycles period = total - ps.total;
+    auto tau = [&](Word w) { return mval::shifted(w, ps.young, d); };
+
+    ps.raw2.clear();
+    ps.vals2.clear();
+    forEachPollWord(
+        ps.floor, [&](Word w) { ps.raw2.push_back(w); },
+        [&](Word &w) { ps.vals2.push_back(w); });
+    if (ps.raw2 != ps.raw || ps.vals2.size() != ps.vals.size())
+        return 0;
+    for (size_t i = 0; i < ps.vals.size(); ++i) {
+        if (ps.vals2[i] != tau(ps.vals[i]))
+            return 0;
+    }
+    size_t off = 0;
+    for (Word a : ps.objAddr) {
+        size_t n = 1 + mhdr::countOf(ps.objWords[off]);
+        Word moved = a >= ps.young ? a + d : a;
+        for (size_t j = 0; j < n; ++j) {
+            if (heap.word(moved + j) != tau(ps.objWords[off + j]))
+                return 0;
+        }
+        off += n;
+    }
+
+    uint64_t k = target > total ? (target - total) / period : 0;
+    size_t free = heap.freeWords();
+    if (free < kGcSafeMargin)
+        return 0;
+    if (d)
+        k = std::min<uint64_t>(k, (free - kGcSafeMargin) / d);
+    if (gcInt) {
+        Cycles since = total - lastGcAt;
+        if (since >= gcInt)
+            return 0;
+        k = std::min(k, (gcInt - since) / period);
+    }
+    return k;
+}
+
+/** Replay the iteration just checked k more times: its heap effect
+ *  (Heap::replayPeriods), τ^k of the registers and the frames above
+ *  the floor, and k times each counter's delta. */
+void
+Machine::Impl::pollReplay(uint64_t k)
+{
+    PollSkip &ps = poll;
+    size_t top = heap.top();
+    Word d = static_cast<Word>(top - ps.top);
+    Cycles period = total - ps.total;
+
+    ps.block.clear();
+    for (size_t a = ps.top; a < top; ++a)
+        ps.block.push_back(heap.word(a));
+    ps.changed.clear();
+    size_t off = 0;
+    for (Word a : ps.objAddr) {
+        size_t n = 1 + mhdr::countOf(ps.objWords[off]);
+        for (size_t j = 0; j < n; ++j) {
+            Word v = heap.word(a + j);
+            if (v != ps.objWords[off + j])
+                ps.changed.emplace_back(static_cast<Word>(a + j), v);
+        }
+        off += n;
+    }
+    heap.replayPeriods(ps.block, ps.changed, ps.young, k);
+
+    Word by = static_cast<Word>(k * d);
+    forEachPollWord(
+        ps.floor, [](Word) {},
+        [&](Word &w) { w = mval::shifted(w, ps.young, by); });
+
+    size_t c = 0;
+    forEachStepCounter(machineStats, [&](uint64_t &v) {
+        v += k * (v - ps.counters[c++]);
+    });
+    for (size_t i = 0; i < callCounts.size(); ++i)
+        callCounts[i] += k * (callCounts[i] - ps.calls[i]);
+    if (tallyOn) {
+        for (size_t s = 0; s < kTotalStates; ++s) {
+            tally.visits[s] += k * (tally.visits[s] - ps.tallyAt[s]);
+            tally.cycles[s] +=
+                k * (tally.cycles[s] - ps.tallyAt[kTotalStates + s]);
+        }
+    }
+    total += k * period;
+}
 
 } // namespace zarf

@@ -35,13 +35,17 @@ class IoBus
 
     /**
      * Is a read of this port quiet right now? Quiet means the read
-     * changes no bus state, and the port returns the same word
-     * until the reader writes or makes a non-quiet read: nothing
-     * else moves the bus during one of the reader's advance calls.
-     * The imperative core fast-forwards a poll loop whose reads are
-     * all quiet (mblaze::MbCpu::advance). A bus that cannot promise
-     * this keeps the default, and its readers step every
-     * instruction.
+     * changes no bus state and touches no state of the reader, and
+     * the port returns the same word to every read the reader makes
+     * until it writes or makes a non-quiet read, or its current
+     * advance call reaches its cycle target: nothing else moves the
+     * bus during the call. The promise ends at the target because a
+     * port may move with the reader's own clock. Both cores
+     * fast-forward a poll loop whose reads are all quiet
+     * (mblaze::MbCpu::advance, and the λ-machine's µop core,
+     * docs/PERF.md "Idle poll loops"), replaying whole iterations
+     * that end by the target. A bus that cannot promise this keeps
+     * the default, and its readers step every instruction.
      */
     virtual bool quietRead(SWord) const { return false; }
 };

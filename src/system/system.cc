@@ -115,6 +115,25 @@ TwoLayerSystem::LambdaBus::putInt(SWord port, SWord value)
         sys.commWrite(value);
 }
 
+bool
+TwoLayerSystem::LambdaBus::quietRead(SWord port) const
+{
+    // The fallback detector reads this bus too: it steps.
+    if (sys.degradedMode || sys.lambdaDead)
+        return false;
+    switch (port) {
+      case kPortEcgIn:
+        return false;
+      case kPortTimer:
+        // Reads before the slice end find no tick due: the timer
+        // reads 0 and consumes nothing. The slice that holds a tick
+        // steps.
+        return sys.sliceEnd <= sys.nextTickDue;
+      default:
+        return true;
+    }
+}
+
 SWord
 TwoLayerSystem::MbBus::getInt(SWord port)
 {
@@ -670,6 +689,7 @@ TwoLayerSystem::runUntil(Cycles target)
             machineEpoch += cfg.sliceCycles;
             st = machine->status();
         } else {
+            sliceEnd = lambdaNow() + cfg.sliceCycles;
             st = machine->advance(cfg.sliceCycles);
         }
         advanceMonitor(cfg.sliceCycles * kMbCyclesPerLambdaCycle);

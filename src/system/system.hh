@@ -139,8 +139,10 @@ struct SystemConfig
     TimingModel lambdaTiming{};
 
     /** λ-machine dispatch tier. Any cycle-accurate tier is
-     *  behavior-identical here (the word-walking reference just
-     *  co-simulates slower); FastFunctional is rejected at
+     *  behavior-identical here. The µop core fast-forwards the
+     *  kernel's idle timer poll (docs/PERF.md, "Idle poll loops");
+     *  the word-walking reference steps every poll iteration, so it
+     *  co-simulates much slower. FastFunctional is rejected at
      *  construction — the co-simulation schedules the two layers by
      *  λ cycles, which that tier does not model. */
     DispatchTier lambdaTier = DispatchTier::Uop;
@@ -461,6 +463,7 @@ class TwoLayerSystem
         explicit LambdaBus(TwoLayerSystem &sys) : sys(sys) {}
         SWord getInt(SWord port) override;
         void putInt(SWord port, SWord value) override;
+        bool quietRead(SWord port) const override;
 
       private:
         TwoLayerSystem &sys;
@@ -512,6 +515,9 @@ class TwoLayerSystem
 
     // λ clock epoch machinery (see lambdaNow()).
     Cycles machineEpoch = 0;
+    /** The λ clock at which the machine's current advance call ends
+     *  (runUntil sets it before each one; LambdaBus::quietRead). */
+    Cycles sliceEnd = 0;
     Cycles degradedClock = 0;
     Cycles wedgeUntil = 0; ///< λ pipeline wedged until this cycle.
     bool degradedMode = false;
