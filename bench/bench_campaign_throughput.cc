@@ -3,15 +3,15 @@
  * Campaign-scale throughput of the two-layer co-simulation
  * (docs/PERF.md, "Campaign-scale execution"): how many scenarios
  * per second a fault-injection campaign and a refinement sweep
- * sustain under the three load strategies —
+ * sustain under the two load strategies —
  *
  *   cold    — parse + predecode the image per scenario, rebuild
  *             golden runs per campaign (the original path);
- *   shared  — one immutable LoadedImage per campaign, golden shock
- *             logs cached process-wide by content;
- *   fork    — shared, plus scenarios resume from the warm system
- *             snapshot the golden run captured at the fault
- *             window's start, skipping the fault-free prefix.
+ *   fork    — one immutable LoadedImage per campaign, golden runs
+ *             cached process-wide by content, and scenarios resume
+ *             from the warm system snapshot the golden run
+ *             captured at the fault window's start, skipping the
+ *             fault-free prefix.
  *
  * The strategies must be indistinguishable in output: the bench
  * byte-compares every campaign's JSON against the cold reference
@@ -54,8 +54,6 @@ strategyName(fault::LoadStrategy s)
     switch (s) {
       case fault::LoadStrategy::Cold:
         return "cold";
-      case fault::LoadStrategy::Shared:
-        return "shared";
       case fault::LoadStrategy::Fork:
         return "fork";
     }
@@ -115,8 +113,8 @@ main(int argc, char **argv)
     base.sinusSeconds = smoke ? 0.35 : 0.4;
     base.vtSeconds = 1.7;
 
-    printf("=== campaign throughput: cold vs shared vs "
-           "snapshot-fork%s ===\n\n",
+    printf("=== campaign throughput: cold vs snapshot-fork%s "
+           "===\n\n",
            smoke ? " (smoke)" : "");
     printf("fault campaign: %zu scenarios, %u threads, seed %llu\n\n",
            base.scenarios, threads, (unsigned long long)seed);
@@ -129,7 +127,6 @@ main(int argc, char **argv)
     double coldWall = 0, forkWall = 0;
 
     for (fault::LoadStrategy s : { fault::LoadStrategy::Cold,
-                                   fault::LoadStrategy::Shared,
                                    fault::LoadStrategy::Fork }) {
         fault::CampaignConfig cfg = base;
         cfg.strategy = s;

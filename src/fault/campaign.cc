@@ -52,8 +52,8 @@ makeHeart(bool vtFlavor)
 }
 
 /** The fault-free reference output for one rhythm flavor, plus —
- *  when built for the Shared/Fork strategies — the warm state the
- *  Fork strategy resumes scenarios from. */
+ *  when built for the Fork strategy — the warm state Fork resumes
+ *  scenarios from. */
 struct Golden
 {
     std::vector<sys::ShockEvent> shocks;
@@ -64,13 +64,16 @@ struct Golden
     /** The heart at the same instant; scenarios clone it again so
      *  each fork owns a private, mid-stream heart. */
     std::shared_ptr<const ecg::Heart> warmHeart;
-    /** Absolute λ-cycle the run ends at. */
+    /** Absolute λ-cycle the run ends at; every scenario of the
+     *  flavor runs to it too. */
     Cycles finalTarget = 0;
 };
 
-/** The λ-cycle target runForMs(seconds · 1000) computes from cycle
- *  0 — the same floating-point expression, so a run split at a
- *  snapshot point and an unsplit run land on the same cycle. */
+/** The absolute λ-cycle a run of `seconds` ends at. It counts from
+ *  cycle 0, not from lambdaNow() as runForMs() does — a fresh
+ *  system's clock already holds the kernel's modelled load — so a
+ *  run split at a snapshot point and an unsplit run, and both
+ *  strategies, land on the same cycle. */
 Cycles
 targetFor(double seconds)
 {
@@ -78,8 +81,8 @@ targetFor(double seconds)
                   1000.0);
 }
 
-/** Fault-free reference, Cold strategy: the original path, kept
- *  verbatim as the differential baseline. */
+/** Fault-free reference, Cold strategy: the original path from the
+ *  raw image, kept as the differential baseline. */
 Golden
 goldenRun(const Image &image, const mblaze::MbProgram &monitor,
           const mblaze::MbProgram &fallback, bool vtFlavor,
@@ -89,9 +92,10 @@ goldenRun(const Image &image, const mblaze::MbProgram &monitor,
     sys::SystemConfig scfg;
     scfg.fallbackProgram = fallback;
     sys::TwoLayerSystem system(image, monitor, *heart, scfg);
-    double seconds = vtFlavor ? ccfg.vtSeconds : ccfg.sinusSeconds;
-    system.runForMs(seconds * 1000.0);
     Golden g;
+    g.finalTarget =
+        targetFor(vtFlavor ? ccfg.vtSeconds : ccfg.sinusSeconds);
+    system.runUntil(g.finalTarget);
     g.shocks = system.shocks();
     return g;
 }
@@ -224,15 +228,13 @@ runScenario(const Image &image,
     scfg.fallbackProgram = fallback;
     scfg.faultPlan = std::move(plan);
     scfg.budget = budget;
-    double seconds = r.vtFlavor ? ccfg.vtSeconds : ccfg.sinusSeconds;
 
     std::unique_ptr<ecg::Heart> heart;
     std::optional<sys::TwoLayerSystem> holder;
-    if (ccfg.strategy == LoadStrategy::Cold || !li) {
+    if (ccfg.strategy == LoadStrategy::Cold) {
         heart = makeHeart(r.vtFlavor);
         holder.emplace(image, monitor, *heart, scfg);
-        holder->runForMs(seconds * 1000.0);
-    } else if (ccfg.strategy == LoadStrategy::Fork && golden.warm) {
+    } else if (golden.warm) {
         // Fork: resume from the golden run's warm state at the
         // fault window's start. Sound because every plan event sits
         // at/after the window's begin and the fault RNG is untouched
@@ -243,13 +245,12 @@ runScenario(const Image &image,
         heart = golden.warmHeart->clone();
         holder.emplace(li, monitor, *heart, scfg);
         holder->restore(*golden.warm);
-        holder->runUntil(golden.finalTarget);
     } else {
         heart = makeHeart(r.vtFlavor);
         holder.emplace(li, monitor, *heart, scfg);
-        holder->runUntil(golden.finalTarget);
     }
     sys::TwoLayerSystem &system = *holder;
+    system.runUntil(golden.finalTarget);
 
     // Output integrity: bit-diff of the pacing log (timestamps and
     // values) against the fault-free golden run.

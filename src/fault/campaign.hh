@@ -60,10 +60,11 @@ const char *outcomeName(Outcome o);
 
 /**
  * How scenarios obtain a warm machine (docs/PERF.md,
- * "Campaign-scale execution"). Strategies trade construction work
- * for shared artifacts; none of them may affect the report — the
- * differential suite (tests/test_machine_snapshot.cc) holds all
- * three to byte-identical JSON on every thread count.
+ * "Campaign-scale execution"). The strategy trades construction work
+ * for shared artifacts and may not affect the report — the
+ * differential suite (tests/test_machine_snapshot.cc) holds both to
+ * byte-identical JSON on every thread count. Both run each scenario
+ * to the same absolute λ cycle.
  */
 enum class LoadStrategy : uint8_t
 {
@@ -72,12 +73,13 @@ enum class LoadStrategy : uint8_t
      *  for the differential suite). */
     Cold = 0,
     /** Build one immutable machine::LoadedImage per campaign and
-     *  share it across scenarios and goldens; golden shock logs are
-     *  cached process-wide by content. */
-    Shared,
-    /** Shared, plus each scenario forks from a warm system snapshot
-     *  the golden run captured at its fault window's start, skipping
-     *  re-execution of the fault-free prefix. */
+     *  share it across scenarios and goldens (golden runs are cached
+     *  process-wide by content); each scenario forks from a warm
+     *  system snapshot the golden run captured at its fault window's
+     *  start, skipping re-execution of the fault-free prefix. A
+     *  golden whose run ends before the window opens has no warm
+     *  state, and its scenarios run from cycle 0 on the shared
+     *  image. */
     Fork,
 };
 

@@ -71,6 +71,8 @@ struct FaultEvent
     FaultKind kind = FaultKind::HeapSeu;
     uint64_t a = 0;     ///< Kind-specific parameter (see FaultKind).
     uint64_t b = 0;     ///< Kind-specific parameter (see FaultKind).
+
+    bool operator==(const FaultEvent &) const = default;
 };
 
 /** A full injection schedule plus the protection model. */
@@ -93,6 +95,8 @@ struct FaultPlan
     bool operandParity = true;
 
     bool empty() const { return events.empty(); }
+
+    bool operator==(const FaultPlan &) const = default;
 };
 
 /** Injection window in λ cycles, [begin, end). */

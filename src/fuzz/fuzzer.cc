@@ -56,10 +56,10 @@ struct SupervisedOracle
 
 /**
  * Run the oracle, supervised when FuzzConfig::oracleBudget is armed:
- * each attempt gets a fresh Budget (host deadline watched by the
- * Supervisor), transient trips retry with backoff, and a terminal
- * trip quarantines the candidate image — the campaign then proceeds
- * without it, counting it as Skip.
+ * each attempt gets a fresh Budget (its host deadline enforced by
+ * Budget::check at the oracle's SYNC points), transient trips retry
+ * with backoff, and a terminal trip quarantines the candidate image
+ * — the campaign then proceeds without it, counting it as Skip.
  */
 SupervisedOracle
 runOracleSupervised(const Image &img, const FuzzConfig &cfg)

@@ -67,6 +67,8 @@ struct FsmTally
     Cycles execCycles() const;
     /** Cycles across the GC states. */
     Cycles gcCycles() const;
+
+    bool operator==(const FsmTally &) const = default;
 };
 
 /** Counters for one instruction class. */
@@ -80,6 +82,8 @@ struct ClassStats
     {
         return count ? double(cycles) / double(count) : 0.0;
     }
+
+    bool operator==(const ClassStats &) const = default;
 };
 
 /** Full machine statistics. */
@@ -162,6 +166,8 @@ struct MachineStats
      *  high-water marks take the max, per-function profiles merge by
      *  key). Used to aggregate across watchdog restarts. */
     void accumulate(const MachineStats &other);
+
+    bool operator==(const MachineStats &) const = default;
 };
 
 /** Export the statistics as "<prefix>..." counters. */

@@ -7,9 +7,9 @@ namespace zarf::mblaze
 
 MbCpu::MbCpu(MbProgram program, IoBus &bus, size_t memWords,
              MbTiming timing)
-    : prog(std::move(program)), bus(bus), timing(timing),
-      dmem(memWords, 0)
+    : prog(std::move(program)), bus(bus), timing(timing)
 {
+    dmem.assign(memWords, 0);
     if (prog.code.empty())
         st = MbStatus::Halted;
 }

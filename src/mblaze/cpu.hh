@@ -67,13 +67,18 @@ struct MbFaultInfo
     Cause cause = Cause::None;
     size_t pc = 0;     ///< pc of the faulting instruction.
     int64_t addr = 0;  ///< Faulting data address (load/store only).
+
+    bool operator==(const MbFaultInfo &) const = default;
 };
 
 /**
  * The complete mutable state of an MbCpu (system snapshot/fork,
- * docs/PERF.md "Campaign-scale execution"). The program, bus
- * binding, timing, and trace attachment are construction-time
- * configuration and are not part of the captured state.
+ * docs/PERF.md "Machine and system snapshot/fork"). MbCpu holds it
+ * as a private base, so save() and restore() copy it whole. The
+ * program, bus binding, timing, and trace attachment are
+ * construction-time configuration, and the idle-loop skip's head is
+ * host-side bookkeeping of one advance() call; none of them is part
+ * of the captured state.
  */
 struct MbState
 {
@@ -84,10 +89,12 @@ struct MbState
     MbFaultInfo fault{};
     Cycles total = 0;
     uint64_t retired = 0;
+
+    bool operator==(const MbState &) const = default;
 };
 
 /** The imperative core. */
-class MbCpu
+class MbCpu : private MbState
 {
   public:
     /**
@@ -150,32 +157,12 @@ class MbCpu
                   Cycles tsBias = 0);
 
     /** Capture the complete mutable state into `out`. */
-    void
-    save(MbState &out) const
-    {
-        out.regs = regs;
-        out.dmem = dmem;
-        out.pc = pc;
-        out.st = st;
-        out.fault = fault;
-        out.total = total;
-        out.retired = retired;
-    }
+    void save(MbState &out) const { out = *this; }
 
     /** Adopt a state captured by save(). The receiver must run the
      *  same program over the same memory size for the result to be
      *  meaningful; data memory is sized by the snapshot. */
-    void
-    restore(const MbState &s)
-    {
-        regs = s.regs;
-        dmem = s.dmem;
-        pc = s.pc;
-        st = s.st;
-        fault = s.fault;
-        total = s.total;
-        retired = s.retired;
-    }
+    void restore(const MbState &s) { static_cast<MbState &>(*this) = s; }
 
   private:
     void step();
@@ -185,13 +172,6 @@ class MbCpu
     IoBus &bus;
     MbTiming timing;
 
-    std::array<SWord, kNumRegs> regs{};
-    std::vector<SWord> dmem;
-    size_t pc = 0;
-    MbStatus st = MbStatus::Running;
-    MbFaultInfo fault{};
-    Cycles total = 0;
-    uint64_t retired = 0;
     /** step() sets this on an `sw`, an `out` or a non-quiet `in`;
      *  advance() clears it at each loop head. */
     bool effect = false;

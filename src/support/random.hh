@@ -89,6 +89,8 @@ class Rng
         return sigma * u * m;
     }
 
+    bool operator==(const Rng &) const = default;
+
   private:
     uint64_t state;
 };

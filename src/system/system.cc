@@ -30,24 +30,6 @@ isFailureStatus(MachineStatus st)
            st == MachineStatus::MemFault;
 }
 
-/** Field-wise FaultPlan equality (the struct has no operator==). */
-bool
-samePlan(const fault::FaultPlan &a, const fault::FaultPlan &b)
-{
-    if (a.seed != b.seed || a.heapEcc != b.heapEcc ||
-        a.operandParity != b.operandParity ||
-        a.events.size() != b.events.size())
-        return false;
-    for (size_t i = 0; i < a.events.size(); ++i) {
-        const fault::FaultEvent &x = a.events[i];
-        const fault::FaultEvent &y = b.events[i];
-        if (x.atCycle != y.atCycle || x.kind != y.kind ||
-            x.a != y.a || x.b != y.b)
-            return false;
-    }
-    return true;
-}
-
 } // namespace
 
 TwoLayerSystem::TwoLayerSystem(const Image &zarfImage,
@@ -61,8 +43,9 @@ TwoLayerSystem::TwoLayerSystem(std::shared_ptr<const LoadedImage> loaded,
                                const mblaze::MbProgram &monitor,
                                ecg::Heart &heart, Config config)
     : heart(heart), cfg(std::move(config)), li(std::move(loaded)),
-      cpu(monitor, mbBus), faultRng(cfg.faultPlan.seed)
+      cpu(monitor, mbBus)
 {
+    faultRng.reseed(cfg.faultPlan.seed);
     traceSys = cfg.trace && cfg.trace->wants(obs::Cat::System);
     cpu.setTrace(cfg.trace, kMbCyclesPerLambdaCycle, 0);
     machine.emplace(li, lambdaBus, lambdaConfig(0));
@@ -715,62 +698,8 @@ TwoLayerSystem::snapshot() const
     s->hasBaseline = baselineCpu.has_value();
     if (baselineCpu)
         baselineCpu->save(s->baseline);
-
-    s->machineEpoch = machineEpoch;
-    s->degradedClock = degradedClock;
-    s->wedgeUntil = wedgeUntil;
-    s->degradedMode = degradedMode;
-    s->lambdaDead = lambdaDead;
-
-    s->nextTickDue = nextTickDue;
-    s->nTicks = nTicks;
-    s->maxLag = maxLag;
-    s->missedDeadline = missedDeadline;
-    s->channel = channel;
-    s->diagCmds = diagCmds;
-    s->diagResps = diagResps;
-    s->shockLog = shockLog;
-    s->nSamples = nSamples;
-    s->nComm = nComm;
-    s->lastSampleCycle = lastSampleCycle;
-    s->maxIterCycles = maxIterCycles;
-    s->maxChanDepth = maxChanDepth;
-
-    s->persistLastPace = persistLastPace;
-    s->persistEpisodes = persistEpisodes;
-
-    s->restarts = restarts;
-    s->wdLog = wdLog;
-    s->lastTickConsumed = lastTickConsumed;
-    s->lastRecoveryAt = lastRecoveryAt;
-    s->steadyMaxLag = steadyMaxLag;
-    s->missedOutsideGrace = missedOutsideGrace;
-
-    s->sensorAlertLog = sensorAlertLog;
-    s->prevSample = prevSample;
-    s->haveSample = haveSample;
-    s->flatRun = flatRun;
-    s->jumpRun = jumpRun;
-
     s->plan = cfg.faultPlan;
-    s->planCursor = planCursor;
-    s->faultRng = faultRng;
-    s->sensorFaultKind = sensorFaultKind;
-    s->sensorFaultUntil = sensorFaultUntil;
-    s->sensorStuckValue = sensorStuckValue;
-    s->sensorNoiseAmp = sensorNoiseAmp;
-    s->sensorNoiseFlip = sensorNoiseFlip;
-    s->chanDropArmed = chanDropArmed;
-    s->chanDupArmed = chanDupArmed;
-    s->chanOverflowCount = chanOverflowCount;
-    s->chanFaultCount = chanFaultCount;
-    s->eccCorrected = eccCorrected;
-    s->eccUncorrectable = eccUncorrectable;
-    s->mbMemFlipCount = mbMemFlipCount;
-    s->monFault = monFault;
-
-    s->retiredLambda = retiredLambda;
-    s->retiredTally = retiredTally;
+    s->state = *this;
     return s;
 }
 
@@ -783,76 +712,26 @@ TwoLayerSystem::restore(const SystemSnapshot &s)
     if (s.hasBaseline) {
         baselineCpu.emplace(cfg.fallbackProgram, lambdaBus);
         baselineCpu->setTrace(cfg.trace, kMbCyclesPerLambdaCycle,
-                              s.machineEpoch);
+                              s.state.machineEpoch);
         baselineCpu->restore(s.baseline);
     } else {
         baselineCpu.reset();
     }
 
-    machineEpoch = s.machineEpoch;
-    degradedClock = s.degradedClock;
-    wedgeUntil = s.wedgeUntil;
-    degradedMode = s.degradedMode;
-    lambdaDead = s.lambdaDead;
-
-    nextTickDue = s.nextTickDue;
-    nTicks = s.nTicks;
-    maxLag = s.maxLag;
-    missedDeadline = s.missedDeadline;
-    channel = s.channel;
-    diagCmds = s.diagCmds;
-    diagResps = s.diagResps;
-    shockLog = s.shockLog;
-    nSamples = s.nSamples;
-    nComm = s.nComm;
-    lastSampleCycle = s.lastSampleCycle;
-    maxIterCycles = s.maxIterCycles;
-    maxChanDepth = s.maxChanDepth;
-
-    persistLastPace = s.persistLastPace;
-    persistEpisodes = s.persistEpisodes;
-
-    restarts = s.restarts;
-    wdLog = s.wdLog;
-    lastTickConsumed = s.lastTickConsumed;
-    lastRecoveryAt = s.lastRecoveryAt;
-    steadyMaxLag = s.steadyMaxLag;
-    missedOutsideGrace = s.missedOutsideGrace;
-
-    sensorAlertLog = s.sensorAlertLog;
-    prevSample = s.prevSample;
-    haveSample = s.haveSample;
-    flatRun = s.flatRun;
-    jumpRun = s.jumpRun;
-
-    // Fault-effect latches are system state: transfer always. (At a
-    // fault-free snapshot point they are all defaults, so a fork
-    // inherits exactly what a cold run would have.)
-    sensorFaultKind = s.sensorFaultKind;
-    sensorFaultUntil = s.sensorFaultUntil;
-    sensorStuckValue = s.sensorStuckValue;
-    sensorNoiseAmp = s.sensorNoiseAmp;
-    sensorNoiseFlip = s.sensorNoiseFlip;
-    chanDropArmed = s.chanDropArmed;
-    chanDupArmed = s.chanDupArmed;
-    chanOverflowCount = s.chanOverflowCount;
-    chanFaultCount = s.chanFaultCount;
-    eccCorrected = s.eccCorrected;
-    eccUncorrectable = s.eccUncorrectable;
-    mbMemFlipCount = s.mbMemFlipCount;
-    monFault = s.monFault;
-
-    // Fault *context* (which events have fired, the noise RNG)
-    // transfers only to a receiver running the identical plan; a
-    // fork with its own plan keeps its fresh cursor and RNG — the
+    // The whole state transfers, the fault-effect latches included
+    // (at a fault-free snapshot point they are all defaults, so a
+    // fork inherits exactly what a cold run would have), except the
+    // fault *context*: which events have fired and the noise RNG.
+    // That transfers only to a receiver running the identical plan;
+    // a fork with its own plan keeps its fresh cursor and RNG, the
     // state a cold run of that plan has after a fault-free prefix.
-    if (samePlan(cfg.faultPlan, s.plan)) {
-        planCursor = s.planCursor;
-        faultRng = s.faultRng;
+    const size_t cursor = planCursor;
+    const Rng rng = faultRng;
+    static_cast<SystemState &>(*this) = s.state;
+    if (cfg.faultPlan != s.plan) {
+        planCursor = cursor;
+        faultRng = rng;
     }
-
-    retiredLambda = s.retiredLambda;
-    retiredTally = s.retiredTally;
 }
 
 std::optional<SWord>

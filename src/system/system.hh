@@ -94,6 +94,8 @@ struct ShockEvent
 {
     Cycles lambdaCycle;
     SWord value;
+
+    bool operator==(const ShockEvent &) const = default;
 };
 
 /** One watchdog trip and the recovery it performed. */
@@ -108,6 +110,8 @@ struct WatchdogEvent
     unsigned restartIndex = 0; ///< 1-based restart ordinal.
     size_t flushedChannelWords = 0; ///< In-flight words discarded.
     bool degraded = false;   ///< This trip engaged the fallback.
+
+    bool operator==(const WatchdogEvent &) const = default;
 };
 
 /** One ECG front-end integrity alert. */
@@ -120,6 +124,8 @@ struct SensorAlert
     };
     Kind kind;
     Cycles atCycle;
+
+    bool operator==(const SensorAlert &) const = default;
 };
 
 /** Default λ->mb FIFO depth. The clean-system worst observed depth
@@ -202,6 +208,85 @@ struct SystemConfig
 };
 
 /**
+ * The simulated state of a TwoLayerSystem beside its λ-machine and
+ * its two imperative cores, declared once: TwoLayerSystem holds it
+ * as a private base, and snapshot()/restore() copy it whole
+ * (docs/PERF.md, "Machine and system snapshot/fork"). Host-side
+ * fields stay outside it: the end of the λ-machine's current advance
+ * call (read by the λ bus's quiet-read test), the cached trace mask,
+ * and the budget latch.
+ */
+struct SystemState
+{
+    // λ clock epoch machinery (see TwoLayerSystem::lambdaNow()).
+    Cycles machineEpoch = 0;
+    Cycles degradedClock = 0;
+    Cycles wedgeUntil = 0; ///< λ pipeline wedged until this cycle.
+    bool degradedMode = false;
+    bool lambdaDead = false;
+
+    // Devices.
+    Cycles nextTickDue = kTickCycles;
+    uint64_t nTicks = 0;
+    Cycles maxLag = 0;
+    bool missedDeadline = false;
+    std::deque<SWord> channel; ///< λ -> imperative FIFO (bounded).
+    std::deque<SWord> diagCmds;
+    std::deque<SWord> diagResps;
+    std::vector<ShockEvent> shockLog;
+    uint64_t nSamples = 0;
+    uint64_t nComm = 0;
+    Cycles lastSampleCycle = 0;
+    Cycles maxIterCycles = 0;
+    size_t maxChanDepth = 0;
+
+    // Persistent therapy state (the watchdog's replay source).
+    SWord persistLastPace = 0;
+    SWord persistEpisodes = 0;
+
+    // Watchdog state.
+    unsigned restarts = 0;
+    std::vector<WatchdogEvent> wdLog;
+    Cycles lastTickConsumed = 0;
+    Cycles lastRecoveryAt = 0;
+    Cycles steadyMaxLag = 0;
+    bool missedOutsideGrace = false;
+
+    // Sensor front-end integrity monitor.
+    std::vector<SensorAlert> sensorAlertLog;
+    SWord prevSample = 0;
+    bool haveSample = false;
+    unsigned flatRun = 0;
+    unsigned jumpRun = 0;
+
+    // Fault context: the plan cursor and the noise RNG (see
+    // TwoLayerSystem::restore()).
+    size_t planCursor = 0;
+    Rng faultRng;
+    // Fault-effect latches.
+    fault::FaultKind sensorFaultKind = fault::FaultKind::SensorDropout;
+    Cycles sensorFaultUntil = 0;
+    SWord sensorStuckValue = 0;
+    uint64_t sensorNoiseAmp = 0;
+    bool sensorNoiseFlip = false;
+    unsigned chanDropArmed = 0;
+    unsigned chanDupArmed = 0;
+    uint64_t chanOverflowCount = 0;
+    uint64_t chanFaultCount = 0;
+    uint64_t eccCorrected = 0;
+    uint64_t eccUncorrectable = 0;
+    uint64_t mbMemFlipCount = 0;
+    std::optional<mblaze::MbFaultInfo> monFault;
+
+    /** Counters retired from machine incarnations the watchdog has
+     *  replaced; aggregatedLambdaStats() adds the live machine's. */
+    MachineStats retiredLambda{};
+    FsmTally retiredTally{};
+
+    bool operator==(const SystemState &) const = default;
+};
+
+/**
  * The complete mutable state of a TwoLayerSystem at a slice boundary
  * (docs/PERF.md, "Campaign-scale execution"). Campaigns capture one
  * snapshot at the end of the fault-free prefix of a golden run and
@@ -223,78 +308,18 @@ struct SystemSnapshot
     bool hasBaseline = false;
     mblaze::MbState baseline;
 
-    // λ clock epoch machinery.
-    Cycles machineEpoch = 0;
-    Cycles degradedClock = 0;
-    Cycles wedgeUntil = 0;
-    bool degradedMode = false;
-    bool lambdaDead = false;
-
-    // Devices.
-    Cycles nextTickDue = 0;
-    uint64_t nTicks = 0;
-    Cycles maxLag = 0;
-    bool missedDeadline = false;
-    std::deque<SWord> channel;
-    std::deque<SWord> diagCmds;
-    std::deque<SWord> diagResps;
-    std::vector<ShockEvent> shockLog;
-    uint64_t nSamples = 0;
-    uint64_t nComm = 0;
-    Cycles lastSampleCycle = 0;
-    Cycles maxIterCycles = 0;
-    size_t maxChanDepth = 0;
-
-    // Persistent therapy state.
-    SWord persistLastPace = 0;
-    SWord persistEpisodes = 0;
-
-    // Watchdog state.
-    unsigned restarts = 0;
-    std::vector<WatchdogEvent> wdLog;
-    Cycles lastTickConsumed = 0;
-    Cycles lastRecoveryAt = 0;
-    Cycles steadyMaxLag = 0;
-    bool missedOutsideGrace = false;
-
-    // Sensor front-end integrity monitor.
-    std::vector<SensorAlert> sensorAlertLog;
-    SWord prevSample = 0;
-    bool haveSample = false;
-    unsigned flatRun = 0;
-    unsigned jumpRun = 0;
-
-    /** The source system's fault plan, with its cursor and RNG.
-     *  restore() adopts these only when the receiver runs the same
+    /** The source system's fault plan. restore() adopts the plan
+     *  cursor and RNG in `state` only when the receiver runs the same
      *  plan (round-trip fidelity); a forked system with a different
      *  plan keeps its own fresh fault context, which is exactly the
      *  state a cold run of that plan has at the end of a fault-free
      *  prefix. */
     fault::FaultPlan plan;
-    size_t planCursor = 0;
-    Rng faultRng;
-    fault::FaultKind sensorFaultKind =
-        fault::FaultKind::SensorDropout;
-    Cycles sensorFaultUntil = 0;
-    SWord sensorStuckValue = 0;
-    uint64_t sensorNoiseAmp = 0;
-    bool sensorNoiseFlip = false;
-    unsigned chanDropArmed = 0;
-    unsigned chanDupArmed = 0;
-    uint64_t chanOverflowCount = 0;
-    uint64_t chanFaultCount = 0;
-    uint64_t eccCorrected = 0;
-    uint64_t eccUncorrectable = 0;
-    uint64_t mbMemFlipCount = 0;
-    std::optional<mblaze::MbFaultInfo> monFault;
-
-    // Retired λ incarnation counters.
-    MachineStats retiredLambda{};
-    FsmTally retiredTally{};
+    SystemState state;
 };
 
 /** Co-simulation of the two layers plus devices. */
-class TwoLayerSystem
+class TwoLayerSystem : private SystemState
 {
   public:
     using Config = SystemConfig;
@@ -513,76 +538,14 @@ class TwoLayerSystem
     mblaze::MbCpu cpu; ///< The monitor; never restarted.
     std::optional<mblaze::MbCpu> baselineCpu; ///< Degraded mode.
 
-    // λ clock epoch machinery (see lambdaNow()).
-    Cycles machineEpoch = 0;
+    // Host-side state; the simulated state is the SystemState base.
     /** The λ clock at which the machine's current advance call ends
      *  (runUntil sets it before each one; LambdaBus::quietRead). */
     Cycles sliceEnd = 0;
-    Cycles degradedClock = 0;
-    Cycles wedgeUntil = 0; ///< λ pipeline wedged until this cycle.
-    bool degradedMode = false;
-    bool lambdaDead = false;
-
-    // Devices.
-    Cycles nextTickDue = kTickCycles;
-    uint64_t nTicks = 0;
-    Cycles maxLag = 0;
-    bool missedDeadline = false;
-    std::deque<SWord> channel; ///< λ -> imperative FIFO (bounded).
-    std::deque<SWord> diagCmds;
-    std::deque<SWord> diagResps;
-    std::vector<ShockEvent> shockLog;
-    uint64_t nSamples = 0;
-    uint64_t nComm = 0;
-    Cycles lastSampleCycle = 0;
-    Cycles maxIterCycles = 0;
-    size_t maxChanDepth = 0;
-
-    // Persistent therapy state (the watchdog's replay source).
-    SWord persistLastPace = 0;
-    SWord persistEpisodes = 0;
-
-    // Watchdog state.
-    unsigned restarts = 0;
-    std::vector<WatchdogEvent> wdLog;
-    Cycles lastTickConsumed = 0;
-    Cycles lastRecoveryAt = 0;
-    Cycles steadyMaxLag = 0;
-    bool missedOutsideGrace = false;
-
-    // Sensor front-end integrity monitor.
-    std::vector<SensorAlert> sensorAlertLog;
-    SWord prevSample = 0;
-    bool haveSample = false;
-    unsigned flatRun = 0;
-    unsigned jumpRun = 0;
-
-    // Fault injection state.
-    size_t planCursor = 0;
-    Rng faultRng;
-    fault::FaultKind sensorFaultKind = fault::FaultKind::SensorDropout;
-    Cycles sensorFaultUntil = 0;
-    SWord sensorStuckValue = 0;
-    uint64_t sensorNoiseAmp = 0;
-    bool sensorNoiseFlip = false;
-    unsigned chanDropArmed = 0;
-    unsigned chanDupArmed = 0;
-    uint64_t chanOverflowCount = 0;
-    uint64_t chanFaultCount = 0;
-    uint64_t eccCorrected = 0;
-    uint64_t eccUncorrectable = 0;
-    uint64_t mbMemFlipCount = 0;
-    std::optional<mblaze::MbFaultInfo> monFault;
-
-    // Observability (SystemConfig::trace / lambdaFsmTally).
     bool traceSys = false; ///< Cached trace->wants(Cat::System).
     /** Latched once SystemConfig::budget trips (BudgetTrip event is
      *  emitted exactly once). */
     bool budgetStopped = false;
-    /** Counters retired from machine incarnations the watchdog has
-     *  replaced; aggregatedLambdaStats() adds the live machine's. */
-    MachineStats retiredLambda{};
-    FsmTally retiredTally{};
 };
 
 } // namespace zarf::sys

@@ -6,13 +6,13 @@
  * A Budget bounds one task — a campaign scenario, one oracle
  * evaluation, a co-simulated system run — along four axes: simulated
  * λ cycles, host wall-clock milliseconds, machine heap bytes, and an
- * external cancel flag a supervisor (verify/supervise.hh) or signal
- * handler may raise from another thread. The runner checks the token
- * at its externally observable SYNC points (the λ-machine between
- * bounded advance chunks, the co-simulation between slices, the
- * oracle between evaluator runs); the first limit to fire *latches*,
- * and the run aborts with MachineStatus::BudgetExceeded /
- * fault::Outcome::BudgetExceeded instead of spinning forever.
+ * external cancel flag another thread or a signal handler may raise.
+ * The runner checks the token at its externally observable SYNC
+ * points (the λ-machine between bounded advance chunks, the
+ * co-simulation between slices, the oracle between evaluator runs);
+ * the first limit to fire *latches*, and the run aborts with
+ * MachineStatus::BudgetExceeded / fault::Outcome::BudgetExceeded
+ * instead of spinning forever.
  *
  * Determinism: the λ-cycle and heap limits are functions of simulated
  * state only, so they trip at the same point on every host, thread

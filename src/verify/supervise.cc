@@ -1,10 +1,6 @@
 #include "verify/supervise.hh"
 
-#include <atomic>
 #include <chrono>
-#include <condition_variable>
-#include <map>
-#include <mutex>
 #include <thread>
 
 namespace zarf::verify
@@ -33,123 +29,6 @@ backoffSleep(const RetryPolicy &policy, unsigned attempt)
         std::this_thread::sleep_for(std::chrono::milliseconds(ms));
 }
 
-namespace
-{
-
-using Clock = std::chrono::steady_clock;
-
-struct WatchEntry
-{
-    Budget *budget = nullptr;
-    Clock::time_point deadline;
-    bool fired = false;
-};
-
-/** The monitor state behind Supervisor. A plain namespace-scope
- *  singleton: the sweep thread starts on the first watch and parks
- *  on a condvar whenever no watches are registered, so idle
- *  processes pay nothing. */
-class Monitor
-{
-  public:
-    static Monitor &
-    instance()
-    {
-        // Intentionally leaked: the sweep thread is detached and may
-        // still be parked on `wake` at process exit; destroying the
-        // mutex/condvar under it would hang or abort exit.
-        static Monitor *m = new Monitor;
-        return *m;
-    }
-
-    uint64_t
-    add(Budget &b, uint64_t hostMillis)
-    {
-        std::lock_guard lk(mu);
-        uint64_t id = ++nextId;
-        watches[id] = { &b,
-                        Clock::now() +
-                            std::chrono::milliseconds(hostMillis),
-                        false };
-        if (!running) {
-            running = true;
-            std::thread([this] { sweepLoop(); }).detach();
-        }
-        wake.notify_all();
-        return id;
-    }
-
-    void
-    remove(uint64_t id)
-    {
-        std::lock_guard lk(mu);
-        watches.erase(id);
-    }
-
-    uint64_t
-    cancellations() const
-    {
-        return nCancelled.load(std::memory_order_relaxed);
-    }
-
-  private:
-    void
-    sweepLoop()
-    {
-        std::unique_lock lk(mu);
-        for (;;) {
-            if (watches.empty()) {
-                wake.wait(lk, [&] { return !watches.empty(); });
-                continue;
-            }
-            wake.wait_for(lk, std::chrono::milliseconds(50));
-            Clock::time_point now = Clock::now();
-            for (auto &[id, w] : watches) {
-                if (!w.fired && now >= w.deadline) {
-                    w.fired = true;
-                    w.budget->cancel();
-                    nCancelled.fetch_add(1,
-                                         std::memory_order_relaxed);
-                }
-            }
-        }
-    }
-
-    std::mutex mu;
-    std::condition_variable wake;
-    std::map<uint64_t, WatchEntry> watches;
-    uint64_t nextId = 0;
-    bool running = false;
-    std::atomic<uint64_t> nCancelled{ 0 };
-};
-
-} // namespace
-
-Supervisor &
-Supervisor::instance()
-{
-    static Supervisor s;
-    return s;
-}
-
-uint64_t
-Supervisor::cancellations() const
-{
-    return Monitor::instance().cancellations();
-}
-
-Supervisor::Watch::Watch(Budget &budget, uint64_t hostMillis)
-{
-    if (hostMillis)
-        id = Monitor::instance().add(budget, hostMillis);
-}
-
-Supervisor::Watch::~Watch()
-{
-    if (id)
-        Monitor::instance().remove(id);
-}
-
 SupervisedRun
 superviseTask(const BudgetSpec &spec, const RetryPolicy &policy,
               const std::function<void(Budget &, unsigned)> &attempt)
@@ -161,7 +40,6 @@ superviseTask(const BudgetSpec &spec, const RetryPolicy &policy,
         ++run.attempts;
         backoffSleep(policy, run.attempts);
         Budget budget(spec);
-        Supervisor::Watch watch(budget, spec.maxHostMillis);
         attempt(budget, run.attempts);
         run.trip = budget.tripped();
         if (run.trip == BudgetTrip::None)

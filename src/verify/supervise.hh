@@ -5,23 +5,18 @@
  *
  * Tasks fanned across verify::detail::poolRun are cooperative: they
  * check their Budget (verify/budget.hh) at SYNC points and abort
- * with a latched trip. Supervision adds the two pieces cooperation
- * alone cannot provide:
+ * with a latched trip. Budget::check tests the host-time deadline
+ * itself, so a task that stalls between check points (one enormous
+ * GC, a pathological host stall) trips BudgetTrip::HostTime at its
+ * next one — no watcher thread could stop it any sooner.
  *
- *  - a process-wide *monitor thread* (Supervisor) that watches every
- *    registered task's host-time deadline and raises the task's
- *    cancel flag when it blows through — so a task wedged between
- *    check points (one enormous GC, a pathological host stall) is
- *    still reeled in at its next observable point instead of holding
- *    a pool worker forever;
- *
- *  - a *retry policy* with capped exponential backoff: transient
- *    trips (host time, cancellation — functions of host load, not of
- *    the input) are retried with a fresh Budget; deterministic trips
- *    (λ-cycle or heap limits — the same input trips them every time)
- *    and retry exhaustion classify the input as wedging, which the
- *    runner quarantines (verify/quarantine.hh) so the campaign
- *    terminates with a complete report.
+ * Supervision adds a *retry policy* with capped exponential backoff:
+ * transient trips (host time, cancellation — functions of host load,
+ * not of the input) are retried with a fresh Budget; deterministic
+ * trips (λ-cycle or heap limits — the same input trips them every
+ * time) and retry exhaustion classify the input as wedging, which
+ * the runner quarantines (verify/quarantine.hh) so the campaign
+ * terminates with a complete report.
  */
 
 #ifndef ZARF_VERIFY_SUPERVISE_HH
@@ -56,45 +51,11 @@ struct RetryPolicy
 void backoffSleep(const RetryPolicy &policy, unsigned attempt);
 
 /**
- * The process-wide monitor. One lazily started thread sweeps the
- * registered watches a few times per second; a watch whose host
- * deadline has passed gets its Budget cancelled (once). Watches are
- * registered RAII-style around a supervised attempt.
- */
-class Supervisor
-{
-  public:
-    static Supervisor &instance();
-
-    /** Register `budget` for cancellation `hostMillis` from now;
-     *  deregisters on destruction. A watch with hostMillis == 0 is
-     *  a no-op. The budget must outlive the watch. */
-    class Watch
-    {
-      public:
-        Watch(Budget &budget, uint64_t hostMillis);
-        ~Watch();
-        Watch(const Watch &) = delete;
-        Watch &operator=(const Watch &) = delete;
-
-      private:
-        uint64_t id = 0; ///< 0 = inactive.
-    };
-
-    /** Tasks the monitor has cancelled since process start. */
-    uint64_t cancellations() const;
-
-  private:
-    Supervisor() = default;
-    friend class Watch;
-};
-
-/**
  * Run one task under budget + retry supervision.
  *
  * `attempt(budget, attemptNo)` runs the task against a fresh Budget
- * built from `spec` (host deadline armed, monitor watch registered)
- * and returns when the task completes or aborts on a trip. The
+ * built from `spec` (host deadline armed at construction) and
+ * returns when the task completes or aborts on a trip. The
  * attempt's trip cause decides what happens next:
  *
  *   None                  -> done, ok;

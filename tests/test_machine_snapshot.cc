@@ -3,10 +3,11 @@
  * Differential testing of the campaign-scale fast paths
  * (docs/PERF.md, "Campaign-scale execution"): machines constructed
  * from a shared LoadedImage, machines forked from a snapshot, and
- * campaigns run under every LoadStrategy must be bit-identical to
+ * campaigns run under the Fork LoadStrategy must be bit-identical to
  * the cold paths — results, total cycles, every statistic, the
- * per-FSM-state tally, trace events, and campaign JSON — on random
- * programs, under GC pressure, and on the full two-layer system.
+ * per-FSM-state tally, trace events, the whole system state, and
+ * campaign JSON — on random programs, under GC pressure, and on the
+ * full two-layer system.
  */
 
 #include <gtest/gtest.h>
@@ -272,6 +273,20 @@ TEST(SnapshotLoadedImage, SharedArtifactMatchesRawImageCtor)
 // Two-layer system snapshot/restore
 // ----------------------------------------------------------------
 
+/** Two systems' states are equal whole: the system state and both
+ *  imperative cores. */
+void
+expectSameSystemState(const sys::TwoLayerSystem &a,
+                      const sys::TwoLayerSystem &b)
+{
+    std::shared_ptr<const sys::SystemSnapshot> sa = a.snapshot();
+    std::shared_ptr<const sys::SystemSnapshot> sb = b.snapshot();
+    EXPECT_TRUE(sa->state == sb->state);
+    EXPECT_TRUE(sa->monitor == sb->monitor);
+    ASSERT_EQ(sa->hasBaseline, sb->hasBaseline);
+    EXPECT_TRUE(sa->baseline == sb->baseline);
+}
+
 TEST(SystemSnapshot, RoundTripPreservesEveryTraceEvent)
 {
     Image img = icd::buildKernelImage();
@@ -311,10 +326,7 @@ TEST(SystemSnapshot, RoundTripPreservesEveryTraceEvent)
     EXPECT_EQ(a.lambdaCycles(), b.lambdaCycles());
     EXPECT_EQ(recA.emitted(), recB.emitted());
     EXPECT_EQ(recA.toChromeJson(), recB.toChromeJson());
-    EXPECT_EQ(a.shocks().size(), b.shocks().size());
-    EXPECT_EQ(a.sensorAlerts().size(), b.sensorAlerts().size());
-    EXPECT_EQ(a.persistedEpisodes(), b.persistedEpisodes());
-    EXPECT_EQ(a.watchdogRestarts(), b.watchdogRestarts());
+    expectSameSystemState(a, b);
 }
 
 TEST(SystemSnapshot, WarmForkMatchesColdRunUnderFaults)
@@ -362,18 +374,49 @@ TEST(SystemSnapshot, WarmForkMatchesColdRunUnderFaults)
     fork.runUntil(kEnd);
 
     EXPECT_EQ(cold.lambdaCycles(), fork.lambdaCycles());
-    EXPECT_EQ(cold.shocks().size(), fork.shocks().size());
-    EXPECT_EQ(cold.sensorAlerts().size(),
-              fork.sensorAlerts().size());
-    EXPECT_EQ(cold.persistedEpisodes(), fork.persistedEpisodes());
-    EXPECT_EQ(cold.watchdogRestarts(), fork.watchdogRestarts());
-    EXPECT_EQ(cold.eccCorrectedFaults(), fork.eccCorrectedFaults());
-    EXPECT_EQ(cold.eccUncorrectableFaults(),
-              fork.eccUncorrectableFaults());
+    expectSameSystemState(cold, fork);
     // Past its own load, the fork emits only the cold run's
     // post-window events.
     EXPECT_LE(recFork.emitted() - forkPre, recCold.emitted());
     expectTraceSuffixEqual(recCold, recFork, forkPre);
+}
+
+TEST(SystemSnapshot, DegradedRoundTripRestoresTheWholeState)
+{
+    // Four uncorrectable heap faults: three watchdog restarts, and
+    // the fourth degrades the system to the fallback detector. Its
+    // snapshot carries a baseline core, a watchdog log and the
+    // counters retired from three λ incarnations.
+    Image img = icd::buildKernelImage();
+    auto li = LoadedImage::load(img);
+    mblaze::MbProgram monitor = icd::monitorProgram();
+    sys::SystemConfig scfg;
+    scfg.fallbackProgram = icd::baselineIcdProgram();
+    for (Cycles at : { 20'000'000, 40'000'000, 60'000'000, 80'000'000 })
+        scfg.faultPlan.events.push_back(
+            { at, fault::FaultKind::HeapSeuDouble, 3, 0x0102 });
+
+    ecg::ScriptedHeart heartSrc({ { 600.0, 75.0 } }, 42);
+    sys::TwoLayerSystem src(li, monitor, heartSrc, scfg);
+    src.runUntil(110'000'000);
+    ASSERT_TRUE(src.degraded());
+    ASSERT_EQ(src.watchdogRestarts(), 4u);
+
+    std::shared_ptr<const sys::SystemSnapshot> snap = src.snapshot();
+    std::unique_ptr<ecg::Heart> heartDst = heartSrc.clone();
+    ASSERT_TRUE(heartDst);
+    sys::TwoLayerSystem dst(li, monitor, *heartDst, scfg);
+    dst.restore(*snap);
+    std::shared_ptr<const sys::SystemSnapshot> back = dst.snapshot();
+    EXPECT_TRUE(back->state == snap->state);
+    EXPECT_TRUE(back->monitor == snap->monitor);
+    ASSERT_TRUE(snap->hasBaseline && back->hasBaseline);
+    EXPECT_TRUE(back->baseline == snap->baseline);
+
+    src.runUntil(135'000'000);
+    dst.runUntil(135'000'000);
+    EXPECT_EQ(src.lambdaCycles(), dst.lambdaCycles());
+    expectSameSystemState(src, dst);
 }
 
 // ----------------------------------------------------------------
@@ -396,10 +439,6 @@ TEST(CampaignStrategies, ByteIdenticalJsonAcrossStrategiesAndThreads)
     cold.strategy = fault::LoadStrategy::Cold;
     fault::CampaignReport rCold = fault::runCampaign(cold);
 
-    fault::CampaignConfig shared = base;
-    shared.strategy = fault::LoadStrategy::Shared;
-    fault::CampaignReport rShared = fault::runCampaign(shared);
-
     fault::CampaignConfig fork = base;
     fork.strategy = fault::LoadStrategy::Fork;
     fault::CampaignReport rFork = fault::runCampaign(fork);
@@ -410,15 +449,42 @@ TEST(CampaignStrategies, ByteIdenticalJsonAcrossStrategiesAndThreads)
 
     ASSERT_EQ(rCold.results.size(), 13u);
     std::string jCold = rCold.toJson();
-    EXPECT_EQ(jCold, rShared.toJson());
     EXPECT_EQ(jCold, rFork.toJson());
     EXPECT_EQ(jCold, rFork1.toJson());
     std::string mCold = rCold.metricsJson();
-    EXPECT_EQ(mCold, rShared.metricsJson());
     EXPECT_EQ(mCold, rFork.metricsJson());
     EXPECT_EQ(mCold, rFork1.metricsJson());
 
     EXPECT_EQ(rCold.protectedSilentCorruptions(), 0u);
+}
+
+TEST(CampaignStrategies, ForkWithoutWarmStateMatchesCold)
+{
+    // The 0.25 s horizon ends before the 0.3 s fault window opens,
+    // so the golden run captures no warm state and Fork runs every
+    // scenario from cycle 0 over the shared image. Both strategies
+    // must stop at the same absolute cycle, targetFor(0.25 s): each
+    // scenario's 50th pacing write lands at cycle 12,500,107, just
+    // past the slice boundary that ends the run, so a run that
+    // counted its horizon from the end of the kernel's modelled load
+    // would see one more write.
+    fault::CampaignConfig base;
+    base.scenarios = 11;
+    base.seedBase = 7;
+    base.sinusSeconds = 0.25;
+    base.threads = 3;
+
+    fault::CampaignConfig cold = base;
+    cold.strategy = fault::LoadStrategy::Cold;
+    fault::CampaignReport rCold = fault::runCampaign(cold);
+
+    fault::CampaignConfig fork = base;
+    fork.strategy = fault::LoadStrategy::Fork;
+    fault::CampaignReport rFork = fault::runCampaign(fork);
+
+    ASSERT_EQ(rCold.results.size(), 11u);
+    EXPECT_EQ(rCold.toJson(), rFork.toJson());
+    EXPECT_EQ(rCold.metricsJson(), rFork.metricsJson());
 }
 
 } // namespace

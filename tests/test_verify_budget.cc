@@ -658,30 +658,22 @@ TEST(Supervise, ExhaustedRetriesWedge)
     EXPECT_EQ(sr.retries(), 2u);
 }
 
-TEST(Supervise, MonitorCancelsAPastDeadlineTask)
+TEST(Supervise, StalledTaskTripsOnItsOwnHostDeadline)
 {
-    // A task wedged between SYNC points: the process-wide monitor
-    // raises its cancel flag once the host deadline passes, and the
-    // task notices at its next check. Generous timeouts — this is a
-    // liveness test, not a latency test.
+    // A task stalled between SYNC points far past its host deadline
+    // makes no simulated progress; its next check trips on the
+    // deadline itself and reports the cause that fired, host time.
     BudgetSpec spec;
     spec.maxHostMillis = 40;
-    Budget bud(spec);
-    {
-        Supervisor::Watch watch(bud, spec.maxHostMillis);
-        bool noticed = false;
-        for (int i = 0; i < 1000 && !noticed; ++i) {
+    SupervisedRun sr = superviseTask(
+        spec, fastRetry(1), [&](Budget &b, unsigned) {
             std::this_thread::sleep_for(
-                std::chrono::milliseconds(5));
-            // A wedged task makes no simulated progress; only the
-            // host-side machinery can reel it in.
-            BudgetTrip t = bud.check(0, 0);
-            noticed = t != BudgetTrip::None;
-        }
-        EXPECT_TRUE(noticed);
-        EXPECT_TRUE(budgetTripTransient(bud.tripped()));
-    }
-    EXPECT_GE(Supervisor::instance().cancellations(), 0u);
+                std::chrono::milliseconds(300));
+            b.check(0, 0);
+        });
+    EXPECT_EQ(sr.attempts, 1u);
+    EXPECT_EQ(sr.trip, BudgetTrip::HostTime);
+    EXPECT_TRUE(sr.wedged);
 }
 
 // ----------------------------------------------------------------
