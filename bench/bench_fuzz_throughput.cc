@@ -81,8 +81,8 @@ main(int argc, char **argv)
         double secs = 0;
         double rate = 0;
         bool clean = true;
-        std::string summary;
-        std::vector<Finding> findings;
+        std::string summary{};
+        std::vector<Finding> findings{};
     };
     std::vector<Rung> rungs = {
         { "cycle-tiers", false, false },

@@ -6,6 +6,7 @@
 #include "ir/eval.hh"
 #include "ir/lift.hh"
 #include "isa/validate.hh"
+#include "machine/loaded_image.hh"
 #include "sem/bigstep.hh"
 #include "sem/smallstep.hh"
 #include "verify/budget.hh"
@@ -121,6 +122,9 @@ diffStats(const MachineStats &a, const MachineStats &b)
 #undef ZARF_STAT
     if (a.callsPerFunc != b.callsPerFunc)
         return "callsPerFunc profiles differ";
+    // A field the list above does not name still counts.
+    if (!(a == b))
+        return "unlisted fields differ";
     return "";
 }
 
@@ -142,7 +146,10 @@ runOracle(const Image &image, const OracleConfig &cfg)
     // Every machine below inherits the budget token via the copied
     // config, so a cancel reels in whichever evaluator is running.
     mc.budget = cfg.budget;
-    Machine uop(image, uopBus, mc);
+    // One load artifact serves every µop-core machine and the IR
+    // lift; the word-walking reference loads the raw image itself.
+    std::shared_ptr<const LoadedImage> li = LoadedImage::load(image);
+    Machine uop(li, uopBus, mc);
     Machine::Outcome uopOut = uop.run(cfg.maxCycles);
     r.uopStatus = uopOut.status;
     r.uopDiagnostic = uopOut.diagnostic;
@@ -171,7 +178,7 @@ runOracle(const Image &image, const OracleConfig &cfg)
     MachineConfig tc = mc;
     tc.tier = DispatchTier::Threaded;
     tc.trace = nullptr;
-    Machine thr(image, thrBus, tc);
+    Machine thr(li, thrBus, tc);
     Machine::Outcome thrOut{ MachineStatus::Running, nullptr, "" };
     if (cfg.compareThreaded)
         thrOut = thr.run(cfg.maxCycles);
@@ -181,7 +188,7 @@ runOracle(const Image &image, const OracleConfig &cfg)
     fc.tier = DispatchTier::FastFunctional;
     fc.trace = nullptr;
     fc.fsmTally = false;
-    Machine fast(image, fastBus, fc);
+    Machine fast(li, fastBus, fc);
     Machine::Outcome fastOut{ MachineStatus::Running, nullptr, "" };
     if (cfg.compareFast)
         fastOut = fast.run(cfg.maxCycles);
@@ -362,7 +369,7 @@ runOracle(const Image &image, const OracleConfig &cfg)
     // the evaluator's hard stop: a correct lift ends at exactly that
     // total, so the bound never fires except on a lifting bug.
     if (cfg.compareIr) {
-        ir::LiftResult lift = ir::liftImage(image);
+        ir::LiftResult lift = ir::liftLoaded(*li, dec.program);
         if (!lift.ok) {
             r.verdict = Verdict::Divergence;
             r.detail =
@@ -438,10 +445,10 @@ runOracle(const Image &image, const OracleConfig &cfg)
         sc.trace = nullptr;
         sc.fsmTally = false;
         RecordBus snapBus;
-        Machine src(image, snapBus, sc);
+        Machine src(li, snapBus, sc);
         src.advance(uop.cycles() / 2);
         auto snap = src.snapshot();
-        Machine fork(image, snapBus, sc);
+        Machine fork(li, snapBus, sc);
         fork.restore(*snap);
         Machine::Outcome forkOut = fork.run(cfg.maxCycles);
         r.snapshotChecked = true;

@@ -235,7 +235,9 @@ OracleResult runOracle(const Image &image,
 bool usesIo(const Program &program);
 
 /** Bit-exact machine statistics comparison; returns an empty string
- *  on equality, else the first differing field with both values. */
+ *  on equality, else the first differing field with both values
+ *  ("unlisted fields differ" when only fields the named list omits
+ *  differ). */
 std::string diffStats(const MachineStats &a, const MachineStats &b);
 
 } // namespace zarf::fuzz

@@ -13,7 +13,7 @@ struct Ctx
 {
     const ReduceConfig &cfg;
     size_t evals = 0;
-    std::string detail;
+    std::string detail{};
 
     bool
     budget() const

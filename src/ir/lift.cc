@@ -201,29 +201,52 @@ liftProgram(Program &program, size_t imageWords)
     return r;
 }
 
+namespace
+{
+
+/** The loader's gates ahead of decoding: false, with r.error set,
+ *  when the machine would refuse to run the artifact. */
+bool
+loadGates(const LoadedImage &li, LiftResult &r)
+{
+    if (!li.headerOk) {
+        r.error = "header: " + li.headerError;
+        return false;
+    }
+    if (!li.hasPredecode) {
+        r.error = "predecode: artifact built without predecode";
+        return false;
+    }
+    if (!li.pre.ok) {
+        r.error = "predecode: " + li.pre.error;
+        return false;
+    }
+    return true;
+}
+
+} // namespace
+
 LiftResult
 liftLoaded(const LoadedImage &li)
 {
     LiftResult r;
-    if (!li.headerOk) {
-        r.error = "header: " + li.headerError;
+    if (!loadGates(li, r))
         return r;
-    }
-    if (!li.hasPredecode) {
-        r.error = "predecode: artifact built without predecode";
-        return r;
-    }
-    if (!li.pre.ok) {
-        r.error = "predecode: " + li.pre.error;
-        return r;
-    }
     DecodeResult d = decodeProgram(li.image);
     if (!d.ok) {
         r.error = "decode: " + d.error;
         return r;
     }
-    r = liftProgram(static_cast<const Program &>(d.program),
-                    li.image.size());
+    return liftLoaded(li, d.program);
+}
+
+LiftResult
+liftLoaded(const LoadedImage &li, const Program &decoded)
+{
+    LiftResult r;
+    if (!loadGates(li, r))
+        return r;
+    r = liftProgram(decoded, li.image.size());
     if (!r.module.hasEntry || r.module.entry != li.entry) {
         // Unreachable when headerOk (the loader requires a zero-arg
         // entry and computes it the same way); kept as a hard gate

@@ -66,6 +66,11 @@ LiftResult liftProgram(Program &program, size_t imageWords = 0);
  *  failure). */
 LiftResult liftLoaded(const LoadedImage &li);
 
+/** Same, for a caller that has already decoded the artifact's image
+ *  successfully: `decoded` must be decodeProgram(li.image).program.
+ *  Keeps the header, predecode and entry gates. */
+LiftResult liftLoaded(const LoadedImage &li, const Program &decoded);
+
 /** Convenience: build the load artifact and lift it. */
 LiftResult liftImage(const Image &image);
 

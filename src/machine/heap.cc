@@ -1,5 +1,6 @@
 #include "machine/heap.hh"
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 
@@ -19,27 +20,98 @@ namespace
 // field, which cannot exceed 0x7ff).
 constexpr size_t kMaxObjWords = 1 + 0x7ff;
 
-} // namespace
-
-Heap::WordStore::WordStore(size_t words)
-    : p(static_cast<Word *>(std::calloc(words, sizeof(Word)))),
-      n(words)
+/** This thread's recycled stores, all zero. Trivially destructible
+ *  and constant-initialised, so it stays readable after the thread's
+ *  destructors have run; `open` says whether it may take stores. */
+struct StoreCache
 {
-    if (!p)
-        fatal("heap: cannot allocate a %zu-word store", words);
+    Word *stores[Heap::kRecycledStores];
+    size_t words[Heap::kRecycledStores];
+    size_t n;
+    bool open;
+};
+
+thread_local StoreCache cache{};
+
+/** Remove cache entry i, keeping the others in age order. */
+void
+dropEntry(size_t i)
+{
+    --cache.n;
+    std::copy_n(cache.stores + i + 1, cache.n - i, cache.stores + i);
+    std::copy_n(cache.words + i + 1, cache.n - i, cache.words + i);
 }
 
-Heap::WordStore::~WordStore() { std::free(p); }
+/** Opens this thread's cache; at thread exit frees what it holds and
+ *  closes it, so a heap released later (a static-duration machine at
+ *  exit) frees its store. */
+struct CacheCloser
+{
+    CacheCloser() { cache.open = true; }
+    CacheCloser(const CacheCloser &) = delete;
+    CacheCloser &operator=(const CacheCloser &) = delete;
+    ~CacheCloser()
+    {
+        for (size_t i = 0; i < cache.n; ++i)
+            std::free(cache.stores[i]);
+        cache.n = 0;
+        cache.open = false;
+    }
+};
+
+Word *
+takeStore(size_t words)
+{
+    thread_local CacheCloser closer;
+    (void)closer;
+    for (size_t i = cache.n; i-- > 0;) { // newest first
+        if (cache.words[i] == words) {
+            Word *p = cache.stores[i];
+            dropEntry(i);
+            return p;
+        }
+    }
+    auto *p = static_cast<Word *>(std::calloc(words, sizeof(Word)));
+    if (!p)
+        fatal("heap: cannot allocate a %zu-word store", words);
+    return p;
+}
+
+/** Zero words [0, written) of a `words`-word store (the rest is
+ *  already zero) and give it to this thread's cache, which frees its
+ *  oldest store when full; free it instead when the cache is
+ *  closed. */
+void
+giveStore(Word *p, size_t words, size_t written)
+{
+    if (!cache.open) {
+        std::free(p);
+        return;
+    }
+    if (cache.n == Heap::kRecycledStores) { // full: the oldest goes
+        std::free(cache.stores[0]);
+        dropEntry(0);
+    }
+    std::memset(p, 0, written * sizeof(Word));
+    cache.stores[cache.n] = p;
+    cache.words[cache.n] = words;
+    ++cache.n;
+}
+
+} // namespace
 
 Heap::Heap(size_t semispaceWords, const TimingModel &timing,
            MachineStats &stats)
-    : store(semispaceWords * 2 + kMaxObjWords), mem(store.data()),
-      semiWords(semispaceWords), timing(timing), stats(stats)
+    : storeLen(semispaceWords * 2 + kMaxObjWords),
+      mem(takeStore(storeLen)), semiWords(semispaceWords),
+      timing(timing), stats(stats)
 {
     base = 0;
     allocPtr = 0;
     limit = semiWords;
 }
+
+Heap::~Heap() { giveStore(mem, storeLen, written()); }
 
 Word
 Heap::alloc(ObjKind kind, Word fn, const std::vector<Word> &payload,
@@ -177,6 +249,7 @@ Heap::evacuate(Word addr)
 
     mem[addr] = mhdr::pack(ObjKind::Fwd, 1, 0);
     mem[addr + 1] = naddr;
+    noteWritten(size_t(addr) + 2);
     return naddr;
 }
 
@@ -251,6 +324,7 @@ Heap::evacuateInd(Word addr, Word h)
             }
             mem[addr] = mhdr::pack(ObjKind::Fwd, 1, 0);
             mem[addr + 1] = naddr;
+            noteWritten(size_t(addr) + 2);
             fwdTo = naddr;
             break;
         }
@@ -282,10 +356,13 @@ Heap::evacuateInd(Word addr, Word h)
 
         mem[addr] = mhdr::pack(ObjKind::Fwd, 1, 0);
         mem[addr + 1] = naddr;
+        noteWritten(size_t(addr) + 2);
         fwdTo = naddr;
         break;
     }
 
+    // The links need no mark: each overwrites an Ind header and a
+    // reference, nonzero words that already lie below it.
     for (Word link : indChain) {
         mem[link] = mhdr::pack(ObjKind::Fwd, 1, 0);
         mem[link + 1] = fwdTo;
@@ -334,6 +411,7 @@ Heap::collect(const RootProvider &roots)
         }
         scan += 1 + count;
     }
+    noteWritten(std::max(allocPtr, toPtr));
 
     if (corruptFlag) {
         // Abort the collection without flipping spaces: the heap is
@@ -366,7 +444,7 @@ Heap::save(Snapshot &out) const
     out.oom = oom;
     out.corruptFlag = corruptFlag;
     out.corruptWhyStr = corruptWhyStr;
-    out.words.assign(mem, mem + store.size());
+    out.words.assign(mem, mem + written());
 }
 
 void
@@ -376,7 +454,12 @@ Heap::restore(const Snapshot &s)
         fatal("heap restore: semispace mismatch (%zu vs %zu words)",
               s.semiWords, semiWords);
     }
-    std::memcpy(mem, s.words.data(), s.words.size() * sizeof(Word));
+    size_t n = s.words.size();
+    size_t mine = written();
+    std::memcpy(mem, s.words.data(), n * sizeof(Word));
+    if (mine > n)
+        std::memset(mem + n, 0, (mine - n) * sizeof(Word));
+    writtenEnd = n;
     base = s.base;
     allocPtr = s.allocPtr;
     limit = s.limit;

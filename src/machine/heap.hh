@@ -35,18 +35,21 @@
  * restart the λ-layer (docs/RESILIENCE.md).
  *
  * Host hot paths (docs/PERF.md, "Campaign-scale execution"): the
- * backing store is calloc-backed, so semispaces are zeroed lazily by
- * the OS instead of eagerly at construction; allocation and chase()
- * are inlined bump/short-circuit fast paths that fall out of line
- * only on overflow or an actual indirection; evacuation copies the
- * common non-indirection object without touching the chain scratch.
- * None of this changes a modelled cycle — the charge sequence is
+ * heap tracks how far its store has ever been written, so a
+ * destroyed heap zeroes only that prefix and hands the store to a
+ * per-thread cache for the next same-size heap, and a snapshot
+ * copies only that prefix; allocation and chase() are inlined
+ * bump/short-circuit fast paths that fall out of line only on
+ * overflow or an actual indirection; evacuation copies the common
+ * non-indirection object without touching the chain scratch. None
+ * of this changes a modelled cycle — the charge sequence is
  * byte-for-byte the seed's.
  */
 
 #ifndef ZARF_MACHINE_HEAP_HH
 #define ZARF_MACHINE_HEAP_HH
 
+#include <algorithm>
 #include <functional>
 #include <utility>
 #include <vector>
@@ -155,6 +158,18 @@ class Heap
      */
     Heap(size_t semispaceWords, const TimingModel &timing,
          MachineStats &stats);
+    /** Zeroes the written prefix and recycles the store. */
+    ~Heap();
+    Heap(const Heap &) = delete;
+    Heap &operator=(const Heap &) = delete;
+
+    /** Zeroed stores each thread keeps for its next heaps of the
+     *  same size, the most recently released first: six machines are
+     *  alive per oracle candidate, and a fresh calloc of a store
+     *  glibc has served before is a memset of all of it. A store
+     *  released on a thread that has built no heap, or whose cache
+     *  has already been destroyed at thread exit, is freed. */
+    static constexpr size_t kRecycledStores = 8;
 
     /**
      * Allocate an object. Returns the address of the header word,
@@ -195,9 +210,19 @@ class Heap
     /** Read payload word i of an object. */
     Word payload(Word addr, Word i) const { return mem[addr + 1 + i]; }
     /** Overwrite the header (update/blackhole). */
-    void setHeader(Word addr, Word h) { mem[addr] = h; }
+    void
+    setHeader(Word addr, Word h)
+    {
+        mem[addr] = h;
+        noteWritten(size_t(addr) + 1);
+    }
     /** Overwrite payload word i. */
-    void setPayload(Word addr, Word i, Word v) { mem[addr + 1 + i] = v; }
+    void
+    setPayload(Word addr, Word i, Word v)
+    {
+        mem[addr + 1 + i] = v;
+        noteWritten(size_t(addr) + 2 + i);
+    }
 
     /** Follow indirections to a representative value word. Walks at
      *  most one chain link per live object; a longer walk (possible
@@ -252,6 +277,8 @@ class Heap
     size_t top() const { return allocPtr; }
     /** Read any word of the store, object boundary or not. */
     Word word(size_t addr) const { return mem[addr]; }
+    /** Words in the store: both semispaces and the slack. */
+    size_t storeWords() const { return storeLen; }
 
     /**
      * Replay `k` more periods of a steady allocation pattern (the λ
@@ -266,7 +293,9 @@ class Heap
      * shifted by kΔ. The periods are written in order, as stepping
      * writes them. The allocation pointer moves by kΔ and nothing is
      * counted (the caller adds the period's statistics). The caller
-     * guarantees that the k blocks fit below the limit.
+     * guarantees that the k blocks fit below the limit and that every
+     * changed address lies below top(), so each word written lies
+     * below the new allocation pointer.
      */
     void replayPeriods(const std::vector<Word> &block,
                        const std::vector<std::pair<Word, Word>> &changed,
@@ -299,11 +328,13 @@ class Heap
 
     /**
      * A captured heap state (Machine::snapshot). The words vector
-     * holds the *entire* backing store, not just the active space:
-     * after a restore, a fault campaign may inject upsets whose
-     * corrupted references read the inactive space or the slack
-     * region, and those reads must see exactly what a never-restored
-     * run would have seen there.
+     * holds the backing store's written prefix — every word below
+     * the highest one ever written, in both semispaces and the
+     * slack — and the store is zero beyond it, so it equals a copy
+     * of the entire store: after a restore, a fault campaign may
+     * inject upsets whose corrupted references read the inactive
+     * space or the slack region, and those reads must see exactly
+     * what a never-restored run would have seen there.
      */
     struct Snapshot
     {
@@ -319,27 +350,25 @@ class Heap
 
     /** Capture the complete heap state into `out`. */
     void save(Snapshot &out) const;
-    /** Restore a state captured by save(). The snapshot must come
-     *  from a heap of the same semispace size (fatal otherwise). */
+    /** Restore a state captured by save(): copy its prefix and zero
+     *  this heap's own written words beyond it. The snapshot must
+     *  come from a heap of the same semispace size (fatal
+     *  otherwise). */
     void restore(const Snapshot &s);
 
   private:
-    /** The calloc-backed word store: pages are zeroed lazily by the
-     *  OS on first touch instead of eagerly at construction. */
-    class WordStore
+    /** Extend the written mark to cover words below `end`. */
+    void
+    noteWritten(size_t end)
     {
-      public:
-        explicit WordStore(size_t words);
-        ~WordStore();
-        WordStore(const WordStore &) = delete;
-        WordStore &operator=(const WordStore &) = delete;
-        Word *data() const { return p; }
-        size_t size() const { return n; }
+        writtenEnd = std::max(writtenEnd, end);
+    }
 
-      private:
-        Word *p = nullptr;
-        size_t n = 0;
-    };
+    /** One past the highest word ever written: the allocation
+     *  pointer covers the active space's bump writes between
+     *  flips, and writtenEnd everything else. Every word from here
+     *  to the end of the store is zero. */
+    size_t written() const { return std::max(writtenEnd, allocPtr); }
 
     /** Out-of-line alloc tail: collect via the hook and retry, or
      *  latch outOfMemory. */
@@ -369,12 +398,19 @@ class Heap
         }
     }
 
-    WordStore store;
-    Word *mem; // = store.data(); the hot-path alias
+    // The store, all zero when the heap is built: a recycled store of
+    // the same size from this thread's cache, else a fresh calloc.
+    size_t storeLen; // 2×semi + slack words
+    Word *mem;
     size_t semiWords; // semispace size in words
     size_t base = 0;
     size_t allocPtr = 0;
     size_t limit = 0;
+    // Written mark: the allocation pointer at every flip, to-space's
+    // end, forwarding words and setHeader/setPayload targets (which
+    // a corrupted heap can aim anywhere below 2×semi + slack).
+    // Every word at or above written() is zero.
+    size_t writtenEnd = 0;
     bool oom = false;
     mutable bool corruptFlag = false;
     mutable const char *corruptWhyStr = "";

@@ -241,4 +241,14 @@ Machine::heapCensus()
     return impl->census();
 }
 
+std::vector<Word>
+Machine::heapStore() const
+{
+    const Heap &h = impl->heapRef();
+    std::vector<Word> out(h.storeWords());
+    for (size_t a = 0; a < out.size(); ++a)
+        out[a] = h.word(a);
+    return out;
+}
+
 } // namespace zarf

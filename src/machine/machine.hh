@@ -286,6 +286,11 @@ class Machine
     };
     std::vector<CensusEntry> heapCensus();
 
+    /** A copy of the heap's whole backing store, both semispaces and
+     *  the slack, object boundary or not: every word a corrupted
+     *  reference could read. */
+    std::vector<Word> heapStore() const;
+
   private:
     friend class MachineSnapshot; // needs Impl's state layout
     class Impl;

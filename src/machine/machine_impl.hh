@@ -237,6 +237,7 @@ class Machine::Impl
     }
 
     size_t heapUsed() const { return heap.usedWords(); }
+    const Heap &heapRef() const { return heap; }
 
     const FsmTally &tallyRef() const { return tally; }
 

@@ -103,7 +103,6 @@ Recorder::Recorder(TraceConfig config) : cfg(config)
 {
     if (cfg.capacity == 0)
         cfg.capacity = 1;
-    ring.resize(cfg.capacity);
 }
 
 void

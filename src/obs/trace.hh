@@ -11,10 +11,11 @@
  *    (bench_trace_overhead verifies the bound).
  *  - Deterministic: events are fixed-size integer records stamped
  *    with simulated λ cycles, recorded in emission order into a
- *    preallocated ring. Two runs of the same seed produce
- *    byte-identical exports; nothing depends on host time, pointer
- *    values, or thread scheduling (a Recorder is single-threaded by
- *    contract — one per simulated system).
+ *    ring that grows on demand up to its capacity, so a short run
+ *    pays only for the events it emits. Two runs of the same seed
+ *    produce byte-identical exports; nothing depends on host time,
+ *    pointer values, or thread scheduling (a Recorder is
+ *    single-threaded by contract — one per simulated system).
  *  - Bounded: the ring drops the *oldest* events once full and
  *    counts the drops, so long co-simulations keep the most recent
  *    window without unbounded memory.
@@ -65,14 +66,18 @@ class Recorder
         if (!wants(eventCat(k)))
             return;
         ++nEmitted;
-        if (count == ring.size()) {
+        if (count < ring.size()) {
+            ring[(head + count) % ring.size()] = Event{ ts, a, b, k };
+            ++count;
+        } else if (ring.size() < cfg.capacity) {
+            // Still growing, so nothing has wrapped: head is 0.
+            ring.push_back(Event{ ts, a, b, k });
+            ++count;
+        } else {
             ++nDropped;
             ring[head] = Event{ ts, a, b, k };
             head = (head + 1) % ring.size();
-            return;
         }
-        ring[(head + count) % ring.size()] = Event{ ts, a, b, k };
-        ++count;
     }
 
     /** Events currently held (<= capacity). */
@@ -98,7 +103,8 @@ class Recorder
             f(at(i));
     }
 
-    /** Forget everything recorded (capacity and mask unchanged). */
+    /** Forget everything recorded (capacity and mask unchanged; the
+     *  ring keeps the storage it has grown). */
     void clear();
 
     /**
@@ -111,7 +117,7 @@ class Recorder
 
   private:
     TraceConfig cfg;
-    std::vector<Event> ring;
+    std::vector<Event> ring; ///< Grows to cfg.capacity, then wraps.
     size_t head = 0;  ///< Index of the oldest held event.
     size_t count = 0; ///< Held events.
     uint64_t nEmitted = 0;

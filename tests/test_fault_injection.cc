@@ -193,9 +193,10 @@ TEST(FaultPlan, SingleKindPlanIsDeterministic)
             EXPECT_EQ(p1.events[i].b, p2.events[i].b);
             EXPECT_GE(p1.events[i].atCycle, w.begin);
             EXPECT_LT(p1.events[i].atCycle, w.end);
-            if (i > 0)
+            if (i > 0) {
                 EXPECT_GE(p1.events[i].atCycle,
                           p1.events[i - 1].atCycle);
+            }
         }
     }
 }

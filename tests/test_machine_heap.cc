@@ -1,11 +1,16 @@
 /**
  * @file
  * Heap and collector unit tests: tagged-word helpers, header
- * packing, allocation, indirection chasing, and Cheney collection
- * of object graphs with sharing and indirection chains.
+ * packing, allocation, indirection chasing, Cheney collection of
+ * object graphs with sharing and indirection chains, and the
+ * recycled stores' written mark.
  */
 
 #include <gtest/gtest.h>
+
+#include <memory>
+#include <utility>
+#include <vector>
 
 #include "machine/heap.hh"
 
@@ -158,6 +163,172 @@ TEST_F(HeapFixture, CyclicReferencesViaUpdateSurviveCollection)
     Word nb = mval::refOf(heap.payload(na, 1));
     EXPECT_EQ(heap.payload(nb, 1), mval::mkRef(na));
     EXPECT_EQ(heap.usedWords(), 6u);
+}
+
+TEST_F(HeapFixture, RecycledStoreReadsZero)
+{
+    // A destroyed heap zeroes only the words below its written mark
+    // before its store goes back to this thread's cache. Each block
+    // below drives one write path so that it reaches past every
+    // other write of its heap, so a path the mark leaves out shows
+    // as a nonzero word in a store the next same-size heap takes.
+    const size_t semi = heap.capacity();
+    const Word last = Word(2 * semi - 1); // the last valid address
+    auto collectWith = [](Heap &h, Word &root) {
+        h.collect([&](const Heap::RootVisitor &v) { v(root); });
+    };
+    auto fillSpace = [](Heap &h) {
+        std::vector<Word> junk(100, mval::mkInt(7));
+        while (h.freeWords() > junk.size())
+            h.alloc(ObjKind::Cons, 0x104, junk);
+    };
+    // Spaces 1 and 0 in turn: the second flip leaves space 1
+    // written almost to its end below a low allocation pointer.
+    auto flipThere = [&](Heap &h) {
+        Word root = mval::mkRef(
+            h.alloc(ObjKind::Cons, 0x104, { mval::mkInt(1) }));
+        collectWith(h, root);
+        fillSpace(h);
+        collectWith(h, root);
+        EXPECT_LT(h.top(), semi);
+    };
+    auto expectRecycledZero = [&](const char *path) {
+        SCOPED_TRACE(path);
+        // Takes every store the cache can hold for this size.
+        std::vector<std::unique_ptr<Heap>> next;
+        for (size_t i = 0; i < Heap::kRecycledStores; ++i)
+            next.push_back(std::make_unique<Heap>(semi, timing, stats));
+        for (const auto &h : next) {
+            ASSERT_EQ(h->storeWords(), 2 * semi + 1 + 0x7ff);
+            for (size_t a = 0; a < h->storeWords(); ++a)
+                ASSERT_EQ(h->word(a), 0u) << "word " << a;
+        }
+    };
+
+    {
+        Heap h(semi, timing, stats);
+        h.alloc(ObjKind::Cons, 0x104, { mval::mkInt(1), mval::mkInt(2) });
+        h.flipBit(1, 3);
+    }
+    expectRecycledZero("allocation and flipBit");
+
+    {
+        Heap h(semi, timing, stats);
+        flipThere(h);
+    }
+    expectRecycledZero("collections both ways");
+
+    {
+        // The scan meets a reference outside the heap after copying
+        // both roots: to-space is written, and nothing flips.
+        Heap h(semi, timing, stats);
+        Word a = mval::mkRef(h.alloc(ObjKind::Cons, 0x104,
+                                     { mval::mkInt(1), mval::mkInt(2) }));
+        Word b = mval::mkRef(h.alloc(ObjKind::Cons, 0x104,
+                                     { mval::mkRef(last + 100) }));
+        h.collect([&](const Heap::RootVisitor &v) {
+            v(a);
+            v(b);
+        });
+        EXPECT_TRUE(h.corrupt());
+        EXPECT_EQ(h.top(), 5u);
+    }
+    expectRecycledZero("aborted collection");
+
+    {
+        // A root at an address nothing wrote: evacuate copies the
+        // zero header there and forwards it in place.
+        Heap h(semi, timing, stats);
+        Word root = mval::mkRef(last);
+        collectWith(h, root);
+        EXPECT_FALSE(h.corrupt());
+    }
+    expectRecycledZero("evacuate's forwarding word");
+
+    {
+        // An indirection chain ending at an address nothing wrote:
+        // the links and the final object are forwarded.
+        Heap h(semi, timing, stats);
+        Word ind = h.alloc(ObjKind::Ind, 0, { mval::mkRef(last) });
+        Word ind2 = h.alloc(ObjKind::Ind, 0, { mval::mkRef(ind) });
+        Word root = mval::mkRef(ind2);
+        collectWith(h, root);
+        EXPECT_FALSE(h.corrupt());
+    }
+    expectRecycledZero("indirection chain");
+
+    {
+        // An indirection whose payload word was never written reads
+        // as integer 0; forwarding it writes that word.
+        Heap h(semi, timing, stats);
+        h.setHeader(last - 1, mhdr::pack(ObjKind::Ind, 1, 0));
+        Word root = mval::mkRef(last - 1);
+        collectWith(h, root);
+        EXPECT_FALSE(h.corrupt());
+    }
+    expectRecycledZero("indirection to an integer");
+
+    {
+        Heap h(semi, timing, stats);
+        h.setHeader(last, mhdr::pack(ObjKind::Cons, 0x7ff, 0x104));
+    }
+    expectRecycledZero("setHeader at the last valid address");
+
+    {
+        Heap h(semi, timing, stats);
+        h.setPayload(last, 0x7fe, mval::mkInt(5));
+    }
+    expectRecycledZero("setPayload into the slack");
+
+    {
+        // Three more periods of a loop that allocates a cell and
+        // links an older object to it.
+        Heap h(semi, timing, stats);
+        Word old = h.alloc(ObjKind::Cons, 0x104, { mval::mkInt(0) });
+        Word young = Word(h.top());
+        Word cell = h.alloc(ObjKind::Cons, 0x104, { mval::mkRef(old) });
+        h.setPayload(old, 0, mval::mkRef(cell));
+        std::vector<Word> block = { h.word(cell), h.word(cell + 1) };
+        std::vector<std::pair<Word, Word>> changed = {
+            { old + 1, mval::mkRef(cell) }
+        };
+        h.replayPeriods(block, changed, young, 3);
+        EXPECT_EQ(h.top(), size_t(young) + 4 * 2);
+    }
+    expectRecycledZero("replayPeriods");
+
+    {
+        // A fresh heap adopts a snapshot written across both spaces.
+        Heap src(semi, timing, stats);
+        flipThere(src);
+        Heap::Snapshot snap;
+        src.save(snap);
+        EXPECT_GT(snap.words.size(), 2 * semi - 200);
+        Heap dst(semi, timing, stats);
+        dst.restore(snap);
+        for (size_t a = 0; a < dst.storeWords(); ++a) {
+            ASSERT_EQ(dst.word(a),
+                      a < snap.words.size() ? snap.words[a] : 0u)
+                << "word " << a;
+        }
+    }
+    expectRecycledZero("restore into a fresh heap");
+
+    {
+        // A heap written into the slack adopts an earlier snapshot of
+        // itself: everything past that snapshot's prefix reads zero.
+        Heap h(semi, timing, stats);
+        h.alloc(ObjKind::Cons, 0x104, { mval::mkInt(1) });
+        Heap::Snapshot early;
+        h.save(early);
+        EXPECT_EQ(early.words.size(), 2u);
+        h.setPayload(last, 0x7fe, mval::mkInt(5));
+        flipThere(h);
+        h.restore(early);
+        for (size_t a = early.words.size(); a < h.storeWords(); ++a)
+            ASSERT_EQ(h.word(a), 0u) << "word " << a;
+    }
+    expectRecycledZero("restore into a written heap");
 }
 
 } // namespace

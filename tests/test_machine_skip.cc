@@ -516,8 +516,9 @@ differential(const std::string &text, DispatchTier tier,
         if (::testing::Test::HasFailure())
             break;
     }
-    if (tier == DispatchTier::Uop)
+    if (tier == DispatchTier::Uop) {
         EXPECT_GT(rec.emitted(), 0u);
+    }
     return { skip.bus.reads, step.bus.reads };
 }
 

@@ -24,6 +24,7 @@
 #include "machine/machine.hh"
 #include "obs/trace.hh"
 #include "system/system.hh"
+#include "zasm/zasm.hh"
 
 namespace zarf
 {
@@ -58,6 +59,8 @@ expectStatsEqual(const MachineStats &a, const MachineStats &b)
     EXPECT_EQ(a.gcRefChecks, b.gcRefChecks);
     EXPECT_EQ(a.gcMaxLiveWords, b.gcMaxLiveWords);
     EXPECT_EQ(a.gcMaxPauseCycles, b.gcMaxPauseCycles);
+    // A field the list above does not name still counts.
+    EXPECT_TRUE(a == b) << "statistics differ";
 }
 
 void
@@ -246,6 +249,62 @@ TEST(SnapshotRoundTrip, SelfRestoreIsInvisible)
     expectTallyEqual(straight.fsmTally(), rt.fsmTally());
     EXPECT_EQ(recA.emitted(), recB.emitted());
     EXPECT_EQ(recA.toChromeJson(), recB.toChromeJson());
+}
+
+TEST(MachineSnapshot, RestoreIntoADirtierMachineMatchesAFreshOne)
+{
+    // A snapshot holds the source's written store prefix. A receiver
+    // that has already collected twice has written both semispaces
+    // past that prefix, so restore() must zero its own words beyond
+    // it: afterwards its store equals that of a fresh machine
+    // restored from the same snapshot, word for word, and the two
+    // runs end alike.
+    Image img = encodeProgram(assembleOrDie(R"(
+fun main =
+  let s = spin 20000
+  case s of
+    7 =>
+      result 1
+  else
+    result 0
+fun spin n =
+  case n of
+    0 =>
+      result 7
+  else
+    let n' = sub n 1
+    let r = spin n'
+    result r
+)"));
+    auto li = LoadedImage::load(img);
+    MachineConfig cfg = snapConfig(3 * 4096, nullptr);
+
+    NullBus busSource;
+    Machine source(li, busSource, cfg);
+    source.advance(500);
+    ASSERT_EQ(source.status(), MachineStatus::Running);
+    ASSERT_EQ(source.stats().gcRuns, 0u);
+    std::shared_ptr<const MachineSnapshot> early = source.snapshot();
+
+    NullBus busDirty;
+    Machine dirty(li, busDirty, cfg);
+    while (dirty.stats().gcRuns < 2 &&
+           dirty.status() == MachineStatus::Running)
+        dirty.advance(10000);
+    ASSERT_GE(dirty.stats().gcRuns, 2u);
+    NullBus busFresh;
+    Machine fresh(li, busFresh, cfg);
+
+    dirty.restore(*early);
+    fresh.restore(*early);
+    EXPECT_TRUE(dirty.heapStore() == fresh.heapStore());
+
+    Machine::Outcome oDirty = dirty.run();
+    Machine::Outcome oFresh = fresh.run();
+    ASSERT_EQ(oFresh.status, MachineStatus::Done) << oFresh.diagnostic;
+    expectOutcomeEqual(oFresh, oDirty);
+    EXPECT_EQ(fresh.cycles(), dirty.cycles());
+    expectStatsEqual(fresh.stats(), dirty.stats());
 }
 
 TEST(SnapshotLoadedImage, SharedArtifactMatchesRawImageCtor)

@@ -92,10 +92,11 @@ expectMonotonePerTrack(const obs::Recorder &rec)
         if (e.kind == obs::EventKind::GcEnd)
             return;
         size_t t = size_t(obs::eventTrack(e.kind));
-        if (seen[t])
+        if (seen[t]) {
             EXPECT_GE(e.ts, last[t])
                 << "track " << obs::trackName(obs::Track(t))
                 << " event " << obs::eventName(e.kind);
+        }
         last[t] = e.ts;
         seen[t] = true;
     });
@@ -273,6 +274,22 @@ TEST(ObsProperty, RecorderDropsOldestAndCounts)
     // The oldest held event is #6 — the newest window survives.
     EXPECT_EQ(rec.at(0).a, 6);
     EXPECT_EQ(rec.at(3).a, 9);
+
+    // clear() after the wrap forgets the events and both counts; a
+    // refill below capacity reads back oldest first.
+    rec.clear();
+    EXPECT_EQ(rec.size(), 0u);
+    EXPECT_EQ(rec.emitted(), 0u);
+    EXPECT_EQ(rec.dropped(), 0u);
+    for (int i = 20; i < 23; ++i)
+        rec.emit(obs::EventKind::TickConsumed, Cycles(i), i, 0);
+    ASSERT_EQ(rec.size(), 3u);
+    EXPECT_EQ(rec.emitted(), 3u);
+    EXPECT_EQ(rec.dropped(), 0u);
+    for (size_t i = 0; i < 3; ++i) {
+        EXPECT_EQ(rec.at(i).a, 20 + int(i));
+        EXPECT_EQ(rec.at(i).ts, Cycles(20 + i));
+    }
 }
 
 } // namespace

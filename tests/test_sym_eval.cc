@@ -177,10 +177,11 @@ TEST(SymTransfer, RulesMatchEvalAluUnderSolverModels)
                 TermEvalResult sv = arena.evalUnder(t, s.model);
                 PrimResult g = evalAlu(op, { a, b });
                 ASSERT_EQ(sv.ok, g.ok);
-                if (g.ok)
+                if (g.ok) {
                     EXPECT_EQ(sv.value, g.value)
                         << "op 0x" << std::hex << unsigned(op)
                         << std::dec << " a=" << a << " b=" << b;
+                }
             }
         }
     }
